@@ -45,7 +45,6 @@ from .spatial import (
     write_snapshot,
 )
 from .stepper import (
-    EnergyPair,
     NewtonConfig,
     NewtonDiverged,
     SolvabilityViolated,

@@ -41,8 +41,13 @@ class TooManyRejects(RuntimeError):
     """A level kept failing the accuracy test after the allowed retries."""
 
 
-class ZeroReference(ValueError):
-    """Error estimate undefined because the reference solution is zero."""
+class ZeroReference(RuntimeError):
+    """Error estimate undefined because the reference solution is zero.
+
+    A solver failure, not a configuration error: an adaptive march whose
+    field is exactly zero, such as coarsening from zero data, hits it from an
+    admissible config.
+    """
 
 
 @dataclass

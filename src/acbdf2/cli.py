@@ -28,7 +28,7 @@ from .kernels import (
 )
 from .runner import ConstraintAbort, run_simulation
 from .stepper import NewtonDiverged, SolvabilityViolated
-from .adaptive import TooManyRejects
+from .adaptive import TooManyRejects, ZeroReference
 from .time_mesh import S0_LIMIT, TimeMesh
 
 EXIT_OK = 0
@@ -65,7 +65,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConstraintAbort as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
-    except (NewtonDiverged, SolvabilityViolated, TooManyRejects) as exc:
+    except (NewtonDiverged, SolvabilityViolated, TooManyRejects, ZeroReference) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ValueError, OSError) as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,24 @@ class Grid2D:
         """Coordinate arrays ``X[j, i] = x_i``, ``Y[j, i] = y_j``."""
         x = self.axis()
         return np.meshgrid(x, x)
+
+    @cached_property
+    def neg_laplacian_symbol(self) -> np.ndarray:
+        """Eigenvalues of ``-laplacian_apply`` laid out like ``numpy.fft.rfft2``.
+
+        ``(4 / h^2) (sin^2(pi k / M) + sin^2(pi l / M))`` at row frequency
+        ``k`` and column frequency ``l``, shape ``(M, M // 2 + 1)``: the
+        five-point stencil is diagonal in the discrete Fourier basis, so
+        ``irfft2(-symbol * rfft2(u))`` equals ``laplacian_apply(u)`` up to
+        rounding.  Built on first use and kept for the grid's lifetime;
+        read-only because every caller shares it.
+        """
+        M = self.M
+        rows = np.sin(np.pi * np.arange(M) / M) ** 2
+        cols = rows[: M // 2 + 1]
+        symbol = (4.0 / (self.h * self.h)) * (rows[:, None] + cols[None, :])
+        symbol.flags.writeable = False
+        return symbol
 
 
 def laplacian_apply(

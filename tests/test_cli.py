@@ -57,6 +57,15 @@ class TestRunCommand:
         assert main(["run", cfg]) == EXIT_SOLVER
         assert "solver failure" in capsys.readouterr().err
 
+    def test_zero_reference_is_a_solver_failure(self, tmp_path, capsys):
+        # zero data stays zero, so the adaptive error estimate has no scale
+        text = QUICK.replace("init.amp = 0.05", "init.amp = 0").replace(
+            "time.scheme = uniform", "time.scheme = adaptive"
+        )
+        cfg = write_config(tmp_path, text)
+        assert main(["run", cfg]) == EXIT_SOLVER
+        assert "reference solution vanishes" in capsys.readouterr().err
+
     def test_constraint_abort(self, tmp_path, capsys):
         text = QUICK.replace("domain.M = 32", "domain.M = 64").replace(
             "domain.eps = 0.02", "domain.eps = 0.01"

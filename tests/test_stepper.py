@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from acbdf2.experiments import MMS_EPS2
 from acbdf2.kernels import apply_bdf2, step_kernels
 from acbdf2.spatial import Grid2D, laplacian_apply, max_norm
 from acbdf2.stepper import (
@@ -14,11 +15,14 @@ from acbdf2.stepper import (
     SolvabilityViolated,
     StepRecord,
     StepperState,
+    _pcg,
     bdf2_step,
     energy,
     jacobian_apply,
     modified_energy,
     nonlinear_solve,
+    spectral_pays,
+    spectral_preconditioner,
 )
 
 from conftest import dense_laplacian
@@ -58,6 +62,44 @@ class TestJacobian:
         np.testing.assert_allclose(
             jacobian_apply(u, v, b0, grid, eps), fd, rtol=0.0, atol=1e-7
         )
+
+
+class TestSpectralPreconditioner:
+    @pytest.mark.parametrize("M", [16, 15])
+    def test_inverts_the_stencil_operator(self, rng, M):
+        # the FFT symbol must be the 5-point stencil's, odd M included
+        grid = Grid2D(M=M, L=1.0)
+        c, e2 = 3.5, 0.02
+        v = rng.standard_normal((M, M))
+        applied = c * v - e2 * laplacian_apply(v, grid.h)
+        out = np.empty_like(v)
+        spectral_preconditioner(grid, c, e2)(applied, out)
+        np.testing.assert_allclose(out, v, rtol=0.0, atol=1e-12)
+
+    def test_pcg_matches_a_dense_solve(self, rng):
+        # variable reaction coefficient, diffusion-dominated as in MMS runs
+        M, e2 = 8, 0.05
+        grid = Grid2D(M=M, L=1.0)
+        u = rng.uniform(-1.0, 1.0, (M, M))
+        react = 19.0 + 3.0 * u * u
+        b = rng.standard_normal((M, M))
+        A = np.diag(react.ravel()) - e2 * dense_laplacian(M, grid.h)
+        expect = np.linalg.solve(A, b.ravel()).reshape(M, M)
+        # c = b0 - 1, the low end of the reaction range, as in nonlinear_solve
+        precond = spectral_preconditioner(grid, 19.0, e2)
+        got = _pcg(react, e2, grid.h, b, precond, 1e-14, 100)
+        np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("b0", [1.5 / 1e-3, 1.0 / 0.1, 1.5 / 0.1])
+    def test_rule_keeps_jacobi_on_the_bubble_runs(self, b0):
+        h = Grid2D(M=128, L=2.0).h
+        for hi in (b0 - 1.0, b0 + 2.0):  # reaction range for |u| <= 1
+            assert not spectral_pays(b0 - 1.0, hi, 0.02**2, h)
+
+    def test_rule_picks_spectral_on_the_mms_run(self):
+        h, b0 = Grid2D(M=256, L=1.0).h, 1.0 / 0.05
+        for hi in (b0 - 1.0, b0 + 2.0):
+            assert spectral_pays(b0 - 1.0, hi, MMS_EPS2, h)
 
 
 class TestNonlinearSolve:
