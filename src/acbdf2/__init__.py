@@ -12,11 +12,8 @@ config/run/CLI plumbing (:mod:`.config`, :mod:`.runner`, :mod:`.cli`).
 from .time_mesh import (
     S0_LIMIT,
     S1_LIMIT,
-    ConstraintReport,
     TimeMesh,
-    check_s0,
-    check_s1,
-    constraint_report,
+    constraint_flags,
     energy_law_bound,
     max_principle_bound,
     solvability_bound,
@@ -34,6 +31,7 @@ from .kernels import (
     identity_residual,
     recombined_kernels,
     recombined_rows,
+    run_eta,
     step_kernels,
 )
 from .spatial import (
@@ -70,15 +68,12 @@ from .experiments import (
     MMS_EPS2,
     ConvergenceRow,
     MmsProblem,
-    MmsRunResult,
     coarsening_init,
     convergence_order,
     four_bubble_init,
-    mms_sweep,
     random_mesh,
-    run_mms,
 )
 from .config import ConfigError, RunConfig, parse_config
-from .runner import ConstraintAbort, RunResult, run_simulation
+from .runner import ConstraintAbort, RunResult, mms_sweep, run_simulation
 
 __version__ = "0.1.0"

@@ -16,6 +16,8 @@ accepted ratio inside the zero-stability window; disable it to reproduce
 uncapped behavior).  A rejected level is recomputed with the shrunken step;
 the shrink factor is at most ``rho < 1`` per rejection, and a step that
 keeps failing after ``max_rejects`` tries raises :class:`TooManyRejects`.
+So does a rejection whose next trial would be the same step, as at the
+floor ``tau_min``: the solve is deterministic and would fail again.
 
 The estimate uses the grid-weighted l2 norm by default; the max norm is
 available behind the ``error_norm`` switch.
@@ -31,10 +33,10 @@ import numpy as np
 from .spatial import Grid2D, l2_norm, max_norm
 from .stepper import NewtonConfig, StepRecord, StepperState, bdf2_step
 from .kernels import step_kernels
-from .time_mesh import S0_LIMIT
+from .time_mesh import RATIO_CEILING
 
 #: default ratio cap, just inside the zero-stability window
-DEFAULT_RATIO_CAP = S0_LIMIT - 1e-6
+DEFAULT_RATIO_CAP = RATIO_CEILING
 
 
 class TooManyRejects(RuntimeError):
@@ -63,18 +65,28 @@ class AdaptiveConfig:
     error_norm: str = "l2"
 
     def __post_init__(self) -> None:
+        errs = self.problems()
+        if errs:
+            raise ValueError("; ".join(errs))
+
+    def problems(self, name=str) -> list[str]:
+        """Every out-of-range field, each called ``name(field)``."""
+        errs = []
         if not 0.0 < self.rho <= 1.0:
-            raise ValueError("safety factor must lie in (0, 1]")
+            errs.append(f"{name('rho')} must lie in (0, 1]")
         if not self.tol > 0.0:
-            raise ValueError("tolerance must be positive")
-        if not 0.0 < self.tau_min <= self.tau_max:
-            raise ValueError("need 0 < tau_min <= tau_max")
+            errs.append(f"{name('tol')} must be positive")
+        if not (self.tau_min > 0.0 and self.tau_max > 0.0):
+            errs.append(f"{name('tau_min')} and {name('tau_max')} must be positive")
+        elif self.tau_min > self.tau_max:
+            errs.append(f"{name('tau_min')} exceeds {name('tau_max')}")
         if self.ratio_cap is not None and not self.ratio_cap > 0.0:
-            raise ValueError("ratio cap must be positive (or None)")
+            errs.append(f"{name('ratio_cap')} must be positive or off")
         if self.max_rejects < 1:
-            raise ValueError("allow at least one reject")
+            errs.append(f"{name('max_rejects')} must be at least 1")
         if self.error_norm not in ("l2", "max"):
-            raise ValueError("error norm must be 'l2' or 'max'")
+            errs.append(f"{name('error_norm')} must be 'l2' or 'max'")
+        return errs
 
 
 def error_estimate(u1: np.ndarray, u2: np.ndarray, h: float, norm: str = "l2") -> float:
@@ -129,29 +141,30 @@ def advance(
 
     Does not mutate ``state``; the caller folds the result in.  Records for
     rejected trials carry the candidate's diagnostics with
-    ``accepted=False``; energy fields of all records are left as NaN for the
-    run loop to fill (the modified energy needs the following ratio, which
-    is unknown until the next level is accepted).
+    ``accepted=False``; the run loop fills the energies and constraint
+    flags of every record (the modified energy needs the following ratio,
+    which is unknown until the next level is accepted).
+
+    Raises :class:`TooManyRejects` after ``max_rejects`` rejections, or as
+    soon as the next trial would repeat the rejected one: at the step floor
+    ``tau_ada`` clamps back to ``tau_min``, and the identical solve would
+    fail identically.
     """
     if newton_cfg is None:
         newton_cfg = NewtonConfig()
     rejected: list[StepRecord] = []
     first = state.n == 0 or state.u_prev2 is None
-    for attempt in range(cfg.max_rejects + 1):
+    for _ in range(cfg.max_rejects + 1):
+        u1, iters1 = bdf2_step(
+            state, tau, grid, eps, source_at, newton_cfg,
+            kernels=step_kernels(tau, 0.0),
+        )
         if first:
             # both schemes coincide on the starting level
-            u1, iters1 = bdf2_step(
-                state, tau, grid, eps, source_at, newton_cfg,
-                kernels=step_kernels(tau, 0.0),
-            )
             u2, iters2 = u1, iters1
             ratio = 0.0
             e = 0.0
         else:
-            u1, iters1 = bdf2_step(
-                state, tau, grid, eps, source_at, newton_cfg,
-                kernels=step_kernels(tau, 0.0),
-            )
             ratio = tau / state.tau_prev
             u2, iters2 = bdf2_step(
                 state, tau, grid, eps, source_at, newton_cfg,
@@ -167,10 +180,6 @@ def advance(
             accepted=e < cfg.tol,
             newton_iters=iters2,
             max_norm=max_norm(u2),
-            energy=math.nan,
-            modified_energy=math.nan,
-            s0_ok=bool(ratio < S0_LIMIT),
-            maxp_bound_ok=False,
         )
         if e < cfg.tol:
             tau_next = tau_ada(e, tau, cfg)
@@ -184,7 +193,10 @@ def advance(
                 newton_iters_onestep=iters1,
             )
         rejected.append(record)
-        tau = tau_ada(e, tau, cfg)
+        tau_next = tau_ada(e, tau, cfg)
+        if tau_next == tau:
+            break
+        tau = tau_next
     raise TooManyRejects(
         f"level {state.n + 1} rejected {len(rejected)} times "
         f"(last e = {e:g} at tau = {rejected[-1].tau:g})"

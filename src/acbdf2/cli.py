@@ -19,17 +19,17 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_config
-from .experiments import mms_sweep, random_mesh
+from .experiments import random_mesh
 from .kernels import (
-    choose_eta,
     complementary_row,
     identity_residual,
     recombined_rows,
+    run_eta,
 )
-from .runner import ConstraintAbort, run_simulation
+from .runner import ConstraintAbort, mms_sweep, run_simulation
 from .stepper import NewtonDiverged, SolvabilityViolated
 from .adaptive import TooManyRejects, ZeroReference
-from .time_mesh import S0_LIMIT, TimeMesh
+from .time_mesh import TimeMesh
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -128,8 +128,7 @@ def _cmd_check_kernels(args: argparse.Namespace) -> int:
             print("--eta must lie in (0, 1)", file=sys.stderr)
             return EXIT_CONFIG
     else:
-        r_max = float(mesh.ratios[1:].max()) if mesh.n_steps > 1 else 1.0
-        eta = choose_eta(min(max(r_max, 1.0), S0_LIMIT - 1e-6))
+        eta = run_eta(float(mesh.ratios.max()))
     d_rows = recombined_rows(mesh, eta)
     lines = ["n,j,b0,b1,d_j,Q_j,identity_residual"]
     for n in range(1, mesh.n_steps + 1):

@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .adaptive import DEFAULT_RATIO_CAP
+from .adaptive import AdaptiveConfig
+from .experiments import MMS_EPS2
+from .stepper import NewtonConfig
 
 
 class ConfigError(ValueError):
@@ -40,30 +42,12 @@ class TimeConfig:
 
 
 @dataclass
-class AdaptiveSection:
-    rho: float = 0.6
-    tol: float = 1e-4
-    tau_max: float = 0.1
-    tau_min: float = 1e-3
-    ratio_cap: float | None = DEFAULT_RATIO_CAP
-    max_rejects: int = 20
-    norm: str = "l2"
-
-
-@dataclass
 class InitConfig:
     kind: str = "coarsening"  # four_bubble | coarsening | mms | file
     base: float = 0.0
     amp: float = 0.05
     seed: int = 0
     path: str = ""
-
-
-@dataclass
-class NewtonSection:
-    tol: float = 1e-12
-    max_iter: int = 50
-    lin_rtol: float = 1e-13
 
 
 @dataclass
@@ -86,9 +70,9 @@ class OutputConfig:
 class RunConfig:
     domain: DomainConfig = field(default_factory=DomainConfig)
     time: TimeConfig = field(default_factory=TimeConfig)
-    adaptive: AdaptiveSection = field(default_factory=AdaptiveSection)
+    adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
     init: InitConfig = field(default_factory=InitConfig)
-    newton: NewtonSection = field(default_factory=NewtonSection)
+    newton: NewtonConfig = field(default_factory=NewtonConfig)
     constraints: ConstraintPolicy = field(default_factory=ConstraintPolicy)
     output: OutputConfig = field(default_factory=OutputConfig)
     explicit_keys: set[str] = field(default_factory=set, repr=False, compare=False)
@@ -146,7 +130,7 @@ _SCHEMA: dict[str, tuple[str, str, object, str]] = {
     "adaptive.tau_min": ("adaptive", "tau_min", _parse_float, "float"),
     "adaptive.ratio_cap": ("adaptive", "ratio_cap", _parse_cap, "float or 'off'"),
     "adaptive.max_rejects": ("adaptive", "max_rejects", _parse_int, "int"),
-    "adaptive.norm": ("adaptive", "norm", str.strip, "string"),
+    "adaptive.norm": ("adaptive", "error_norm", str.strip, "string"),
     "init.kind": ("init", "kind", str.strip, "string"),
     "init.base": ("init", "base", _parse_float, "float"),
     "init.amp": ("init", "amp", _parse_float, "float"),
@@ -204,6 +188,12 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def _key_namer(section: str):
+    """Map a field of ``section`` to its config key, for error messages."""
+    keys = {attr: key for key, (sec, attr, _, _) in _SCHEMA.items() if sec == section}
+    return keys.__getitem__
+
+
 def _validate(cfg: RunConfig) -> list[str]:
     errs: list[str] = []
     if cfg.domain.L <= 0.0:
@@ -220,20 +210,7 @@ def _validate(cfg: RunConfig) -> list[str]:
         errs.append("time.tau must be positive")
     if cfg.time.n < 1:
         errs.append("time.n must be at least 1")
-    if not 0.0 < cfg.adaptive.rho <= 1.0:
-        errs.append("adaptive.rho must lie in (0, 1]")
-    if cfg.adaptive.tol <= 0.0:
-        errs.append("adaptive.tol must be positive")
-    if cfg.adaptive.tau_min <= 0.0 or cfg.adaptive.tau_max <= 0.0:
-        errs.append("adaptive step window must be positive")
-    elif cfg.adaptive.tau_min > cfg.adaptive.tau_max:
-        errs.append("adaptive.tau_min exceeds adaptive.tau_max")
-    if cfg.adaptive.ratio_cap is not None and cfg.adaptive.ratio_cap <= 0.0:
-        errs.append("adaptive.ratio_cap must be positive or 'off'")
-    if cfg.adaptive.max_rejects < 1:
-        errs.append("adaptive.max_rejects must be at least 1")
-    if cfg.adaptive.norm not in ("l2", "max"):
-        errs.append("adaptive.norm must be 'l2' or 'max'")
+    errs.extend(cfg.adaptive.problems(_key_namer("adaptive")))
     if cfg.init.kind not in _INIT_KINDS:
         errs.append(f"init.kind must be one of {', '.join(_INIT_KINDS)}")
     if cfg.init.amp < 0.0:
@@ -241,8 +218,6 @@ def _validate(cfg: RunConfig) -> list[str]:
     if cfg.init.kind == "file" and not cfg.init.path:
         errs.append("init.kind = file needs init.path")
     if cfg.init.kind == "mms":
-        from .experiments import MMS_EPS2
-
         if cfg.domain.L != 1.0 or cfg.domain.origin != 0.0:
             errs.append("init.kind = mms requires the unit square at origin 0")
         if "domain.eps" not in cfg.explicit_keys:
@@ -252,12 +227,7 @@ def _validate(cfg: RunConfig) -> list[str]:
                 "init.kind = mms fixes domain.eps to 1/sqrt(8 pi^2) "
                 f"(= {math.sqrt(MMS_EPS2):.17g})"
             )
-    if cfg.newton.tol <= 0.0:
-        errs.append("newton.tol must be positive")
-    if cfg.newton.max_iter < 1:
-        errs.append("newton.max_iter must be at least 1")
-    if not 0.0 < cfg.newton.lin_rtol < 1.0:
-        errs.append("newton.lin_rtol must lie in (0, 1)")
+    errs.extend(cfg.newton.problems(_key_namer("newton")))
     for name in ("s0", "s1", "energy_law", "max_principle"):
         if getattr(cfg.constraints, name) not in _POLICIES:
             errs.append(f"constraints.{name} must be one of {', '.join(_POLICIES)}")

@@ -1,12 +1,13 @@
 """Benchmark problems: manufactured-solution accuracy, bubbles, coarsening.
 
-The accuracy study marches a forced problem whose exact solution is known,
-on a random nonuniform mesh, and reports the worst-case nodal error over
-the march together with the largest step of the mesh; pairing runs at N and
-2N steps gives the observed temporal order.  The two phase-field initial
-states reproduce the classic qualitative benchmarks: four tangent circular
-interfaces that merge and shrink, and a small random perturbation that
-coarsens.
+The accuracy study marches a forced problem whose exact solution is known
+on a random nonuniform mesh (:func:`acbdf2.runner.mms_sweep`); the worst
+nodal error over the march against the largest step of the mesh, paired
+across runs at N and 2N steps, gives the observed temporal order.  This
+module holds the problem, the mesh draw and the order formula.  The two
+phase-field initial states reproduce the classic qualitative benchmarks:
+four tangent circular interfaces that merge and shrink, and a small random
+perturbation that coarsens.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import step_kernels
-from .spatial import Grid2D, max_norm
-from .stepper import NewtonConfig, StepperState, bdf2_step
-from .time_mesh import S0_LIMIT, TimeMesh
+from .spatial import Grid2D
+from .time_mesh import TimeMesh
 
 #: diffusion coefficient of the forced accuracy problem, 1 / (8 pi^2)
 MMS_EPS2 = 1.0 / (8.0 * math.pi * math.pi)
@@ -31,6 +30,9 @@ class MmsProblem:
     On the unit square with diffusion ``1/(8 pi^2)`` the Laplacian term
     reduces to ``-u``, so the source has the closed form
     ``g = s cos t + (s sin t)^3`` with ``s = sin(2 pi x) sin(2 pi y)``.
+
+    Both fields take the spatial factor ``s = shape(X, Y)`` when the caller
+    has it, so a march computes it once instead of on every step.
     """
 
     eps2 = MMS_EPS2
@@ -43,12 +45,15 @@ class MmsProblem:
         return np.sin(2.0 * math.pi * X) * np.sin(2.0 * math.pi * Y)
 
     @classmethod
-    def exact(cls, X: np.ndarray, Y: np.ndarray, t: float) -> np.ndarray:
-        return cls.shape(X, Y) * math.sin(t)
+    def exact(cls, X: np.ndarray, Y: np.ndarray, t: float, s=None) -> np.ndarray:
+        if s is None:
+            s = cls.shape(X, Y)
+        return s * math.sin(t)
 
     @classmethod
-    def source(cls, X: np.ndarray, Y: np.ndarray, t: float) -> np.ndarray:
-        s = cls.shape(X, Y)
+    def source(cls, X: np.ndarray, Y: np.ndarray, t: float, s=None) -> np.ndarray:
+        if s is None:
+            s = cls.shape(X, Y)
         return s * math.cos(t) + (s * math.sin(t)) ** 3
 
 
@@ -76,18 +81,7 @@ class ConvergenceRow:
     err_inf: float
     order: float
     num_ratio_violations: int
-
-
-@dataclass
-class MmsRunResult:
-    """Raw outcome of one accuracy march (order filled in by the sweep)."""
-
-    N: int
-    seed: int
-    tau_max: float
-    err_inf: float
-    num_ratio_violations: int
-    newton_iters: list[int]
+    newton_iters: list[int]  # Newton sweeps of each step
 
 
 def convergence_order(err_coarse: float, err_fine: float,
@@ -98,88 +92,6 @@ def convergence_order(err_coarse: float, err_fine: float,
     if tau_coarse <= 0.0 or tau_fine <= 0.0 or tau_coarse == tau_fine:
         return math.nan
     return math.log(err_coarse / err_fine) / math.log(tau_coarse / tau_fine)
-
-
-def run_mms(
-    n_steps: int,
-    seed: int,
-    M: int = 256,
-    newton_cfg: NewtonConfig | None = None,
-) -> MmsRunResult:
-    """March the forced problem on a fresh random mesh and measure the error.
-
-    The error is the max over all levels of the nodal max-norm distance to
-    the exact solution.  Ratio violations count the steps whose ratio
-    reaches the zero-stability limit; the march itself tolerates them.
-    """
-    grid = Grid2D(M=M, L=MmsProblem.L)
-    mesh = random_mesh(n_steps, MmsProblem.T, seed)
-    X, Y = grid.meshgrid()
-
-    def source_at(t: float) -> np.ndarray:
-        return MmsProblem.source(X, Y, t)
-
-    state = StepperState(
-        u_prev=MmsProblem.exact(X, Y, 0.0),
-        u_prev2=None,
-        n=0,
-        t=0.0,
-    )
-    times = mesh.times
-    err = 0.0
-    iters_per_step: list[int] = []
-    for k in range(1, n_steps + 1):
-        tau = mesh.tau(k)
-        u, iters = bdf2_step(state, tau, grid, MmsProblem.eps, source_at, newton_cfg)
-        iters_per_step.append(iters)
-        state = StepperState(
-            u_prev=u, u_prev2=state.u_prev, n=k, t=times[k], tau_prev=tau
-        )
-        err = max(err, max_norm(u - MmsProblem.exact(X, Y, times[k])))
-    ratios = mesh.ratios
-    return MmsRunResult(
-        N=n_steps,
-        seed=seed,
-        tau_max=float(mesh.steps.max()),
-        err_inf=err,
-        num_ratio_violations=int(np.sum(ratios[1:] >= S0_LIMIT)),
-        newton_iters=iters_per_step,
-    )
-
-
-def mms_sweep(
-    n_list: list[int],
-    seed: int,
-    M: int = 256,
-    newton_cfg: NewtonConfig | None = None,
-) -> list[ConvergenceRow]:
-    """Accuracy table over a list of step counts, one mesh per count.
-
-    Every count draws its mesh from the same seed, so a finer mesh extends
-    the coarser one's draw sequence; the largest steps then shrink in
-    rough proportion to the count and the order column stays meaningful.
-    The order column compares each row with the previous one and is NaN on
-    the first row.
-    """
-    results = [run_mms(n_steps, seed, M, newton_cfg) for n_steps in n_list]
-    rows: list[ConvergenceRow] = []
-    for i, res in enumerate(results):
-        order = math.nan
-        if i > 0:
-            prev = results[i - 1]
-            order = convergence_order(
-                prev.err_inf, res.err_inf, prev.tau_max, res.tau_max
-            )
-        rows.append(
-            ConvergenceRow(
-                N=res.N,
-                tau_max=res.tau_max,
-                err_inf=res.err_inf,
-                order=order,
-                num_ratio_violations=res.num_ratio_violations,
-            )
-        )
-    return rows
 
 
 def four_bubble_init(grid: Grid2D, eps: float) -> np.ndarray:

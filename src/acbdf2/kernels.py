@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .time_mesh import S0_LIMIT, TimeMesh
+from .time_mesh import RATIO_CEILING, S0_LIMIT, TimeMesh
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,15 @@ def choose_eta(r_s: float) -> float:
     if not 1.0 <= r_s < S0_LIMIT:
         raise ValueError(f"ratio cap {r_s!r} outside [1, 1 + sqrt(2))")
     return 2.0 * r_s * r_s / ((1.0 + r_s) * (1.0 + r_s))
+
+
+def run_eta(r_max: float) -> float:
+    """:func:`choose_eta` for a run whose ratios stay ``<= r_max``.
+
+    ``r_max`` is clamped into ``[1, RATIO_CEILING]``, so a uniform mesh, a
+    single step or an uncapped controller all get an admissible weight.
+    """
+    return choose_eta(min(max(r_max, 1.0), RATIO_CEILING))
 
 
 def recombined_kernels(k: Bdf2Kernels, eta: float, n: int) -> np.ndarray:

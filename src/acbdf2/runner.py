@@ -9,6 +9,12 @@ One run produces, under the configured output directory:
   past each scheduled time);
 * ``summary.json``: run totals and constraint bookkeeping.
 
+One loop marches every scheme.  Its step source is either a fixed mesh
+(uniform or random), solved one level at a time, or the adaptive controller,
+which also hands back its rejected trials.  For the manufactured solution
+the loop also tracks ``err_inf``, the largest nodal error of any accepted
+level; it is returned on :class:`RunResult` and kept out of the summary.
+
 The modified energy of a level depends on the ratio of the following step,
 so each record is finalized one acceptance later; the final level uses a
 zero next ratio, collapsing its modified energy to the plain energy.  With
@@ -22,15 +28,29 @@ import json
 import logging
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .adaptive import AdaptiveConfig, advance
-from .config import RunConfig
-from .experiments import MmsProblem, coarsening_init, four_bubble_init, random_mesh
-from .kernels import choose_eta
+from .adaptive import advance
+from .config import (
+    ConstraintPolicy,
+    DomainConfig,
+    InitConfig,
+    OutputConfig,
+    RunConfig,
+    TimeConfig,
+)
+from .experiments import (
+    ConvergenceRow,
+    MmsProblem,
+    coarsening_init,
+    convergence_order,
+    four_bubble_init,
+    random_mesh,
+)
+from .kernels import run_eta
 from .spatial import Grid2D, max_norm, read_snapshot, write_snapshot, write_text_field
 from .stepper import (
     NewtonConfig,
@@ -40,20 +60,11 @@ from .stepper import (
     energy,
     modified_energy,
 )
-from .time_mesh import (
-    S0_LIMIT,
-    S1_LIMIT,
-    TimeMesh,
-    energy_law_bound,
-    max_principle_bound,
-)
+from .time_mesh import TimeMesh, constraint_flags
 
 log = logging.getLogger(__name__)
 
 CSV_HEADER = ",".join(StepRecord.FIELDS)
-
-#: Lipschitz constant of the double-well derivative on [-1, 1]
-STAB_CONSTANT = 2.0
 
 
 class ConstraintAbort(RuntimeError):
@@ -71,6 +82,9 @@ class RunResult:
     summary: dict
     u_final: np.ndarray
     grid: Grid2D
+    #: manufactured-solution runs only: max over accepted levels of the
+    #: nodal max-norm error against the exact solution; None otherwise
+    err_inf: float | None = None
 
 
 def _fmt(value) -> str:
@@ -93,22 +107,34 @@ class _Monitors:
 
     NAMES = ("s0", "s1", "energy_law", "max_principle")
 
-    def __init__(self, policy_of: dict[str, str]):
+    def __init__(self, policy_of: dict[str, str], eta: float, eps: float, h: float):
         self.policy_of = policy_of
+        self.eta, self.eps, self.h = eta, eps, h
         self.counts = {n: 0 for n in self.NAMES}
         self.first = {n: None for n in self.NAMES}
 
-    def event(self, name: str, step: int) -> None:
-        self.counts[name] += 1
-        if self.first[name] is None:
-            self.first[name] = step
-            if self.policy_of[name] == "warn":
-                log.warning("constraint '%s' first violated at step %d", name, step)
-        if self.policy_of[name] == "enforce":
-            raise ConstraintAbort(name, step)
+    def evaluate(self, rec: StepRecord, ratio_next: float | None = None) -> dict:
+        """The record's safeguard flags; stores its CSV flags on the way."""
+        flags = constraint_flags(
+            rec.tau, rec.ratio, eta=self.eta, eps=self.eps, h=self.h,
+            ratio_next=ratio_next,
+        )
+        rec.s0_ok = bool(flags["s0"])
+        rec.maxp_bound_ok = bool(flags["max_principle"])
+        return flags
 
-    def active(self, name: str) -> bool:
-        return self.policy_of[name] != "off"
+    def check(self, flags: dict, names: tuple[str, ...], step: int) -> None:
+        """Count, warn about or abort on each failed flag under ``names``."""
+        for name in names:
+            if self.policy_of[name] == "off" or flags[name]:
+                continue
+            self.counts[name] += 1
+            if self.first[name] is None:
+                self.first[name] = step
+                if self.policy_of[name] == "warn":
+                    log.warning("constraint '%s' first violated at step %d", name, step)
+            if self.policy_of[name] == "enforce":
+                raise ConstraintAbort(name, step)
 
 
 class _Run:
@@ -118,89 +144,110 @@ class _Run:
         self.cfg = cfg
         self.grid = Grid2D(M=cfg.domain.M, L=cfg.domain.L, origin=cfg.domain.origin)
         self.eps = cfg.domain.eps
-        self.newton_cfg = NewtonConfig(
-            tol=cfg.newton.tol,
-            max_iter=cfg.newton.max_iter,
-            lin_rtol=cfg.newton.lin_rtol,
-        )
+        T = cfg.time.T
+        self.mesh: TimeMesh | None = None  # adaptive: the controller picks steps
+        if cfg.time.scheme == "uniform":
+            self.mesh = TimeMesh.uniform(T, max(1, round(T / cfg.time.tau)))
+        elif cfg.time.scheme == "random-mesh":
+            self.mesh = random_mesh(cfg.time.n, T, cfg.time.seed)
+        if self.mesh is not None:
+            r_max = float(self.mesh.ratios.max())
+        else:
+            r_max = math.inf if cfg.adaptive.ratio_cap is None else cfg.adaptive.ratio_cap
+        self.eta = run_eta(r_max)
         self.monitors = _Monitors(
-            {n: getattr(cfg.constraints, n) for n in _Monitors.NAMES}
+            {n: getattr(cfg.constraints, n) for n in _Monitors.NAMES},
+            self.eta, self.eps, self.grid.h,
         )
         self.records: list[StepRecord] = []
-        self.rejected_count = 0
-        self.onestep_iters: list[int] = []
+        self.onestep_iters = 0
         self.schedule = sorted(cfg.output.snapshots)
         self.sched_idx = 0
         self.snapshots_written: list[str] = []
-        self.eta = self._run_eta()
-        self.u0, self.source_at = self._initial_state()
-        self.state = StepperState(
-            u_prev=self.u0, u_prev2=None, n=0, t=0.0, tau_prev=0.0
-        )
+        u0, self.source_at, self.error_at = self._initial_state()
+        self.err_inf = None if self.error_at is None else 0.0
+        self.state = StepperState(u_prev=u0, u_prev2=None, n=0, t=0.0, tau_prev=0.0)
         # record awaiting its modified-energy finalization
         self.pending: StepRecord | None = None
-        self.energy_initial = energy(self.u0, self.grid, self.eps)
-        self.max_norm_overall = max_norm(self.u0)
+        self.energy_initial = energy(u0, self.grid, self.eps)
+        self.max_norm_overall = max_norm(u0)
         self.min_norm_overall = self.max_norm_overall
         self.aborted: str | None = None
         self.solver_error: str | None = None
 
     # -- setup -----------------------------------------------------------
 
-    def _run_eta(self) -> float:
-        cfg = self.cfg
-        ceiling = S0_LIMIT - 1e-6
-        if cfg.time.scheme == "uniform":
-            r_s = 1.0
-        elif cfg.time.scheme == "adaptive":
-            cap = cfg.adaptive.ratio_cap
-            r_s = min(cap, ceiling) if cap is not None else ceiling
-        else:  # random-mesh: pick from the realized ratios
-            mesh = self._build_mesh()
-            r_s = float(mesh.ratios[1:].max()) if mesh.n_steps > 1 else 1.0
-        return choose_eta(min(max(r_s, 1.0), ceiling))
-
-    def _build_mesh(self) -> TimeMesh:
-        cfg = self.cfg
-        if cfg.time.scheme == "uniform":
-            n = max(1, round(cfg.time.T / cfg.time.tau))
-            return TimeMesh.uniform(cfg.time.T, n)
-        if cfg.time.scheme == "random-mesh":
-            return random_mesh(cfg.time.n, cfg.time.T, cfg.time.seed)
-        raise ValueError("adaptive runs build their mesh on the fly")
-
     def _initial_state(self):
+        """Initial field, source term ``g(t)`` and error observer ``(u, t)``."""
         cfg, grid = self.cfg, self.grid
         kind = cfg.init.kind
         if kind == "four_bubble":
-            return four_bubble_init(grid, self.eps), None
+            return four_bubble_init(grid, self.eps), None, None
         if kind == "coarsening":
-            return coarsening_init(grid, cfg.init.seed, cfg.init.base, cfg.init.amp), None
+            u0 = coarsening_init(grid, cfg.init.seed, cfg.init.base, cfg.init.amp)
+            return u0, None, None
         if kind == "mms":
             X, Y = grid.meshgrid()
+            s = MmsProblem.shape(X, Y)
 
             def source_at(t: float) -> np.ndarray:
-                return MmsProblem.source(X, Y, t)
+                return MmsProblem.source(X, Y, t, s)
 
-            return MmsProblem.exact(X, Y, 0.0), source_at
+            def error_at(u: np.ndarray, t: float) -> float:
+                return max_norm(u - MmsProblem.exact(X, Y, t, s))
+
+            return MmsProblem.exact(X, Y, 0.0, s), source_at, error_at
         if kind == "file":
             u, _ = read_snapshot(cfg.init.path)
             if u.shape != (grid.M, grid.M):
                 raise ValueError(
                     f"initial field is {u.shape[0]}x{u.shape[1]}, grid wants {grid.M}"
                 )
-            return u, None
+            return u, None, None
         raise ValueError(f"unknown init kind '{kind}'")
 
-    # -- bookkeeping -----------------------------------------------------
+    # -- step sources ----------------------------------------------------
 
-    def _flags(self, tau: float, ratio: float) -> tuple[bool, bool]:
-        s0_ok = bool(ratio < S0_LIMIT)
-        maxp_ok = bool(
-            tau
-            <= max_principle_bound(ratio, self.eta, STAB_CONSTANT, self.eps, self.grid.h)
-        )
-        return s0_ok, maxp_ok
+    def _mesh_levels(self):
+        """Levels of a fixed mesh: one solve each, always accepted."""
+        mesh = self.mesh
+        times = mesh.times
+        for k in range(1, mesh.n_steps + 1):
+            tau = mesh.tau(k)
+            u, iters = bdf2_step(
+                self.state, tau, self.grid, self.eps, self.source_at, self.cfg.newton
+            )
+            rec = StepRecord(
+                n=k,
+                t=float(times[k]),
+                tau=tau,
+                ratio=mesh.ratio(k),
+                e_est=math.nan,
+                accepted=True,
+                newton_iters=iters,
+                max_norm=max_norm(u),
+            )
+            yield u, rec, [], 0
+
+    def _controller_levels(self):
+        """Levels the adaptive controller accepts, with its rejected trials."""
+        cfg = self.cfg
+        acfg = cfg.adaptive
+        T = cfg.time.T
+        if "time.tau" in cfg.explicit_keys:
+            tau = min(max(cfg.time.tau, acfg.tau_min), acfg.tau_max)
+        else:
+            tau = acfg.tau_min
+        end_slack = 1e-12 * max(1.0, T)
+        while self.state.t < T - end_slack:
+            tau = min(tau, T - self.state.t)  # clip the final step to land on T
+            res = advance(
+                self.state, tau, self.grid, self.eps, acfg, cfg.newton, self.source_at
+            )
+            yield res.u, res.record, res.rejected, res.newton_iters_onestep
+            tau = res.tau_next
+
+    # -- bookkeeping -----------------------------------------------------
 
     def _finalize_pending(self, ratio_next: float) -> None:
         """Fill the waiting record's modified energy; run the lagged check."""
@@ -215,15 +262,16 @@ class _Run:
             self.grid,
             self.eps,
         )
-        if self.monitors.active("energy_law"):
-            if not rec.tau <= energy_law_bound(rec.ratio, ratio_next):
-                self.monitors.event("energy_law", rec.n)
+        flags = self.monitors.evaluate(rec, ratio_next)
+        self.monitors.check(flags, ("energy_law",), rec.n)
         self.pending = None
 
     def _accept(self, u: np.ndarray, rec: StepRecord) -> None:
         """Fold an accepted level into the march state."""
         rec.energy = energy(u, self.grid, self.eps)
-        rec.s0_ok, rec.maxp_bound_ok = self._flags(rec.tau, rec.ratio)
+        if self.error_at is not None:
+            self.err_inf = max(self.err_inf, self.error_at(u, rec.t))
+        flags = self.monitors.evaluate(rec)
         self._finalize_pending(rec.ratio)
         self.records.append(rec)
         self.pending = rec
@@ -236,12 +284,7 @@ class _Run:
         )
         self.max_norm_overall = max(self.max_norm_overall, rec.max_norm)
         self.min_norm_overall = min(self.min_norm_overall, rec.max_norm)
-        if self.monitors.active("s0") and not rec.s0_ok:
-            self.monitors.event("s0", rec.n)
-        if self.monitors.active("s1") and not rec.ratio < S1_LIMIT:
-            self.monitors.event("s1", rec.n)
-        if self.monitors.active("max_principle") and not rec.maxp_bound_ok:
-            self.monitors.event("max_principle", rec.n)
+        self.monitors.check(flags, ("s0", "s1", "max_principle"), rec.n)
 
     def _maybe_snapshot(self, out_dir: Path | None, t: float, u: np.ndarray) -> None:
         if out_dir is None:
@@ -256,81 +299,24 @@ class _Run:
             self.snapshots_written.append(name)
             self.sched_idx += 1
 
-    # -- marches ---------------------------------------------------------
+    # -- the march -------------------------------------------------------
 
     def march(self, out_dir: Path | None) -> None:
-        self._maybe_snapshot(out_dir, 0.0, self.u0)
+        """Fold in every level the step source yields, then close the run."""
+        self._maybe_snapshot(out_dir, 0.0, self.state.u_prev)
+        levels = self._controller_levels() if self.mesh is None else self._mesh_levels()
         try:
-            if self.cfg.time.scheme == "adaptive":
-                self._march_adaptive(out_dir)
-            else:
-                self._march_mesh(out_dir)
+            for u, rec, rejected, onestep_iters in levels:
+                for rej in rejected:
+                    self.monitors.evaluate(rej)
+                    self.records.append(rej)
+                self.onestep_iters += onestep_iters
+                self._accept(u, rec)
+                self._maybe_snapshot(out_dir, rec.t, u)
             self._finalize_pending(0.0)
         except ConstraintAbort as exc:
             self.aborted = exc.name
             raise
-
-    def _march_mesh(self, out_dir: Path | None) -> None:
-        mesh = self._build_mesh()
-        times = mesh.times
-        for k in range(1, mesh.n_steps + 1):
-            tau = mesh.tau(k)
-            u, iters = bdf2_step(
-                self.state, tau, self.grid, self.eps, self.source_at, self.newton_cfg
-            )
-            rec = StepRecord(
-                n=k,
-                t=float(times[k]),
-                tau=tau,
-                ratio=mesh.ratio(k),
-                e_est=math.nan,
-                accepted=True,
-                newton_iters=iters,
-                max_norm=max_norm(u),
-                energy=math.nan,
-                modified_energy=math.nan,
-                s0_ok=True,
-                maxp_bound_ok=True,
-            )
-            self._accept(u, rec)
-            self._maybe_snapshot(out_dir, rec.t, u)
-
-    def _march_adaptive(self, out_dir: Path | None) -> None:
-        cfg = self.cfg
-        acfg = AdaptiveConfig(
-            rho=cfg.adaptive.rho,
-            tol=cfg.adaptive.tol,
-            tau_max=cfg.adaptive.tau_max,
-            tau_min=cfg.adaptive.tau_min,
-            ratio_cap=cfg.adaptive.ratio_cap,
-            max_rejects=cfg.adaptive.max_rejects,
-            error_norm=cfg.adaptive.norm,
-        )
-        T = cfg.time.T
-        if "time.tau" in cfg.explicit_keys:
-            tau = min(max(cfg.time.tau, acfg.tau_min), acfg.tau_max)
-        else:
-            tau = acfg.tau_min
-        end_slack = 1e-12 * max(1.0, T)
-        while self.state.t < T - end_slack:
-            tau = min(tau, T - self.state.t)  # clip the final step to land on T
-            res = advance(
-                self.state,
-                tau,
-                self.grid,
-                self.eps,
-                acfg,
-                self.newton_cfg,
-                self.source_at,
-            )
-            for rej in res.rejected:
-                rej.s0_ok, rej.maxp_bound_ok = self._flags(rej.tau, rej.ratio)
-                self.records.append(rej)
-            self.rejected_count += len(res.rejected)
-            self.onestep_iters.append(res.newton_iters_onestep)
-            self._accept(res.u, res.record)
-            self._maybe_snapshot(out_dir, res.record.t, res.u)
-            tau = res.tau_next
 
     # -- outputs ---------------------------------------------------------
 
@@ -342,7 +328,7 @@ class _Run:
             "scheme": self.cfg.time.scheme,
             "eta": self.eta,
             "total_steps": len(accepted),
-            "rejected_steps": self.rejected_count,
+            "rejected_steps": len(self.records) - len(accepted),
             "final_time": final_rec.t if final_rec else 0.0,
             "energy_initial": self.energy_initial,
             "final_energy": final_rec.energy if final_rec else self.energy_initial,
@@ -352,9 +338,8 @@ class _Run:
             "max_norm_overall": self.max_norm_overall,
             "min_norm_overall": self.min_norm_overall,
             "newton_iters_median": float(statistics.median(iters)) if iters else 0.0,
-            "newton_iters_total": sum(iters)
-            + sum(r.newton_iters for r in self.records if not r.accepted)
-            + sum(self.onestep_iters),
+            "newton_iters_total": sum(r.newton_iters for r in self.records)
+            + self.onestep_iters,
             "constraint_violations": dict(self.monitors.counts),
             "first_violations": dict(self.monitors.first),
             "snapshots": list(self.snapshots_written),
@@ -403,4 +388,51 @@ def run_simulation(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
         summary=run.build_summary(),
         u_final=run.state.u_prev,
         grid=run.grid,
+        err_inf=run.err_inf,
     )
+
+
+def mms_sweep(
+    n_list: list[int],
+    seed: int,
+    M: int = 256,
+    newton_cfg: NewtonConfig | None = None,
+) -> list[ConvergenceRow]:
+    """Accuracy table over a list of step counts, one mesh per count.
+
+    Each count is one in-memory ``random-mesh`` run of the manufactured
+    solution with the monitors off; its row takes the run's ``err_inf``,
+    largest step, Newton sweeps and count of steps outside the
+    zero-stability window.  Every count draws its mesh from the same seed,
+    so a finer mesh extends the coarser one's draw sequence; the largest
+    steps then shrink in rough proportion to the count and the order column
+    stays meaningful.  The order column compares each row with the previous
+    one and is NaN on the first row.
+    """
+    rows: list[ConvergenceRow] = []
+    for n_steps in n_list:
+        cfg = RunConfig(
+            domain=DomainConfig(L=MmsProblem.L, M=M, eps=MmsProblem.eps),
+            time=TimeConfig(T=MmsProblem.T, scheme="random-mesh", n=n_steps, seed=seed),
+            init=InitConfig(kind="mms"),
+            newton=newton_cfg if newton_cfg is not None else NewtonConfig(),
+            constraints=ConstraintPolicy(s0="off", s1="off", energy_law="off", max_principle="off"),
+            output=OutputConfig(dir=""),
+        )
+        res = run_simulation(cfg)
+        tau_max = max(r.tau for r in res.records)
+        order = math.nan
+        if rows:
+            prev = rows[-1]
+            order = convergence_order(prev.err_inf, res.err_inf, prev.tau_max, tau_max)
+        rows.append(
+            ConvergenceRow(
+                N=n_steps,
+                tau_max=tau_max,
+                err_inf=res.err_inf,
+                order=order,
+                num_ratio_violations=sum(not r.s0_ok for r in res.records),
+                newton_iters=[r.newton_iters for r in res.records],
+            )
+        )
+    return rows

@@ -48,13 +48,23 @@ class NewtonConfig:
     lin_max_iter: int = 2000
 
     def __post_init__(self) -> None:
-        eps = np.finfo(float).eps
+        errs = self.problems()
+        if errs:
+            raise ValueError("; ".join(errs))
+
+    def problems(self, name=str) -> list[str]:
+        """Every out-of-range field, each called ``name(field)``."""
+        errs = []
+        eps = float(np.finfo(float).eps)
         if not self.tol >= eps:
-            raise ValueError("Newton tolerance below machine precision")
-        if self.max_iter < 1 or self.lin_max_iter < 1:
-            raise ValueError("iteration caps must be positive")
+            errs.append(f"{name('tol')} must be at least machine epsilon ({eps:.3g})")
+        if self.max_iter < 1:
+            errs.append(f"{name('max_iter')} must be at least 1")
+        if self.lin_max_iter < 1:
+            errs.append(f"{name('lin_max_iter')} must be at least 1")
         if not 0.0 < self.lin_rtol < 1.0:
-            raise ValueError("linear tolerance must lie in (0, 1)")
+            errs.append(f"{name('lin_rtol')} must lie in (0, 1)")
+        return errs
 
 
 @dataclass
@@ -70,7 +80,11 @@ class StepperState:
 
 @dataclass
 class StepRecord:
-    """Diagnostics of one attempted step; one CSV row of the run log."""
+    """Diagnostics of one attempted step; one CSV row of the run log.
+
+    The step sources fill the first eight fields; the run loop fills the
+    energies and the constraint flags.
+    """
 
     n: int
     t: float
@@ -80,10 +94,10 @@ class StepRecord:
     accepted: bool
     newton_iters: int
     max_norm: float
-    energy: float
-    modified_energy: float
-    s0_ok: bool
-    maxp_bound_ok: bool
+    energy: float = math.nan
+    modified_energy: float = math.nan
+    s0_ok: bool = False
+    maxp_bound_ok: bool = False
 
     FIELDS = (
         "n", "t", "tau", "ratio", "e_est", "accepted", "newton_iters",

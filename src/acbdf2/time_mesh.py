@@ -3,8 +3,8 @@
 A mesh is the sequence of positive step sizes ``tau_1, ..., tau_N`` covering
 ``[0, T]``.  Step ratios ``r_k = tau_k / tau_{k-1}`` (with ``r_1 = 0`` by
 convention) control both solvability and stability of the two-step scheme,
-so this module also provides the admissibility checks and the per-step upper
-bounds used by the constraint monitors:
+so this module also provides the per-step upper bounds and the one evaluator
+(:func:`constraint_flags`) behind the constraint monitors:
 
 * zero-stability window ``0 < r_k < 1 + sqrt(2)``,
 * energy-dissipation window ``0 < r_k < (3 + sqrt(17)) / 2``,
@@ -29,6 +29,12 @@ S0_LIMIT = 1.0 + math.sqrt(2.0)
 
 #: energy-dissipation ratio limit, (3 + sqrt(17)) / 2
 S1_LIMIT = (3.0 + math.sqrt(17.0)) / 2.0
+
+#: largest ratio a run plans for, just inside the zero-stability window
+RATIO_CEILING = S0_LIMIT - 1e-6
+
+#: Lipschitz constant of the double-well derivative on [-1, 1]
+STAB_CONSTANT = 2.0
 
 
 @dataclass(frozen=True)
@@ -112,25 +118,6 @@ class TimeMesh:
         return cls(np.asarray(vals))
 
 
-def check_s0(mesh: TimeMesh) -> np.ndarray:
-    """Per-step zero-stability flags: ``0 < r_k < 1 + sqrt(2)``.
-
-    The first step has no ratio and is always admissible.
-    """
-    r = mesh.ratios
-    ok = (r > 0.0) & (r < S0_LIMIT)
-    ok[0] = True
-    return ok
-
-
-def check_s1(mesh: TimeMesh) -> np.ndarray:
-    """Per-step energy-window flags: ``0 < r_k < (3 + sqrt(17)) / 2``."""
-    r = mesh.ratios
-    ok = (r > 0.0) & (r < S1_LIMIT)
-    ok[0] = True
-    return ok
-
-
 def solvability_bound(ratio):
     """Largest step size with a unique nonlinear solution: ``(1+2r)/(1+r)``.
 
@@ -177,59 +164,21 @@ def max_principle_bound(ratio, eta, stab, eps, h):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
-    """Per-step admissibility flags for a whole mesh.
+def constraint_flags(tau, ratio, *, eta, eps, h, ratio_next=None):
+    """Which safeguards a step of size ``tau`` at ratio ``ratio`` satisfies.
 
-    Each field is a boolean array of length ``N`` (index ``k-1`` holds step
-    ``k``).  A flag is false exactly when the corresponding inequality fails
-    at that step; nothing is clamped or repaired here.
+    Returns ``{"s0", "s1", "max_principle"}`` flags, plus ``"energy_law"``
+    once the following ratio ``ratio_next`` is known (0 after the final
+    step).  ``s0`` and ``s1`` are the strict ratio windows; the first step
+    has ratio 0 and passes both.  ``max_principle`` uses the recombination
+    weight ``eta`` of the run.  A flag is false exactly when its inequality
+    fails.  Arrays of steps and ratios give arrays of flags.
     """
-
-    s0: np.ndarray
-    s1: np.ndarray
-    solvability: np.ndarray
-    energy_law: np.ndarray
-    max_principle: np.ndarray
-
-    _NAMES = ("s0", "s1", "solvability", "energy_law", "max_principle")
-
-    def first_violation(self, name: str) -> int | None:
-        """1-based index of the first violating step, or None."""
-        flags = getattr(self, name)
-        bad = np.flatnonzero(~flags)
-        return int(bad[0]) + 1 if bad.size else None
-
-    def all_ok(self) -> bool:
-        return all(bool(getattr(self, n).all()) for n in self._NAMES)
-
-    def summary(self) -> dict[str, int | None]:
-        return {n: self.first_violation(n) for n in self._NAMES}
-
-
-def constraint_report(
-    mesh: TimeMesh,
-    *,
-    eps: float,
-    h: float,
-    eta: float,
-    stab: float = 2.0,
-) -> ConstraintReport:
-    """Evaluate every safeguard on every step of a mesh.
-
-    The energy-law bound at step ``k`` uses the following ratio ``r_{k+1}``,
-    taken as 0 after the final step.
-    """
-    steps = mesh.steps
-    r = mesh.ratios
-    r_next = np.concatenate((r[1:], [0.0]))
-    solv = steps < solvability_bound(r)
-    elaw = steps <= energy_law_bound(r, r_next)
-    maxp = steps <= max_principle_bound(r, eta, stab, eps, h)
-    return ConstraintReport(
-        s0=check_s0(mesh),
-        s1=check_s1(mesh),
-        solvability=solv,
-        energy_law=elaw,
-        max_principle=maxp,
-    )
+    flags = {
+        "s0": ratio < S0_LIMIT,
+        "s1": ratio < S1_LIMIT,
+        "max_principle": tau <= max_principle_bound(ratio, eta, STAB_CONSTANT, eps, h),
+    }
+    if ratio_next is not None:
+        flags["energy_law"] = tau <= energy_law_bound(ratio, ratio_next)
+    return flags

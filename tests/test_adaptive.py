@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from acbdf2 import adaptive
 from acbdf2.adaptive import (
     AdaptiveConfig,
     DEFAULT_RATIO_CAP,
@@ -182,10 +183,45 @@ class TestAdvance:
             assert rec.e_est >= cfg.tol
 
     def test_too_many_rejects(self, rng):
+        # trials 0.01 and then the floor 1e-4; the floor would only repeat
         state = self.two_level_state(rng)
         cfg = AdaptiveConfig(tol=1e-15, max_rejects=2, tau_min=1e-4, tau_max=0.1)
+        with pytest.raises(TooManyRejects, match="rejected 2 times"):
+            advance(state, 0.01, self.GRID, self.EPS, cfg)
+
+    def count_steps(self, monkeypatch):
+        calls = []
+        step = adaptive.bdf2_step
+
+        def counted(state, tau, *args, **kwargs):
+            calls.append(tau)
+            return step(state, tau, *args, **kwargs)
+
+        monkeypatch.setattr(adaptive, "bdf2_step", counted)
+        return calls
+
+    def test_floor_rejection_is_not_repeated(self, rng, monkeypatch):
+        # a rejected trial at tau_min comes back as tau_min: one trial (two
+        # solves) and out, not max_rejects identical retries
+        calls = self.count_steps(monkeypatch)
+        state = self.two_level_state(rng)
+        cfg = AdaptiveConfig(tol=1e-15, max_rejects=20, tau_min=1e-3)
+        with pytest.raises(TooManyRejects, match="rejected 1 times"):
+            advance(state, cfg.tau_min, self.GRID, self.EPS, cfg)
+        assert calls == [cfg.tau_min, cfg.tau_min]
+
+    def test_reject_budget_still_applies_above_the_floor(self, rng, monkeypatch):
+        # a fixed estimate of 1 shrinks each trial by rho sqrt(tol), far
+        # above the floor, so the budget of max_rejects retries runs out
+        calls = self.count_steps(monkeypatch)
+        monkeypatch.setattr(adaptive, "error_estimate", lambda *args: 1.0)
+        state = self.two_level_state(rng)
+        cfg = AdaptiveConfig(tol=1e-2, max_rejects=2, tau_min=1e-12)
         with pytest.raises(TooManyRejects, match="rejected 3 times"):
             advance(state, 0.01, self.GRID, self.EPS, cfg)
+        assert len(calls) == 6
+        assert calls[::2] == calls[1::2]
+        assert calls[0] > calls[2] > calls[4] > cfg.tau_min
 
     def test_rejection_records_carry_the_trial_sizes(self, rng):
         state = self.two_level_state(rng)

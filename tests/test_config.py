@@ -91,6 +91,7 @@ class TestErrors:
             ("init.kind = file", "init.path"),
             ("init.amp = -0.1", "init.amp"),
             ("newton.tol = 0", "newton.tol"),
+            ("newton.tol = 1e-17", "newton.tol"),
             ("newton.lin_rtol = 1.0", "newton.lin_rtol"),
             ("constraints.s0 = maybe", "constraints.s0"),
             ("output.snapshots = 5.0", "outside"),

@@ -11,11 +11,11 @@ from acbdf2.experiments import (
     convergence_order,
     coarsening_init,
     four_bubble_init,
-    mms_sweep,
     random_mesh,
-    run_mms,
 )
+from acbdf2.runner import mms_sweep
 from acbdf2.spatial import Grid2D, laplacian_apply, max_norm
+from acbdf2.stepper import StepperState, bdf2_step
 from acbdf2.time_mesh import S0_LIMIT
 
 
@@ -119,24 +119,50 @@ class TestConvergenceOrder:
         assert math.isnan(convergence_order(*args))
 
 
+def march_mms(n_steps, seed, M):
+    """Reference accuracy march, written out step by step without the runner.
+
+    Returns the largest nodal error over the levels and the Newton sweeps of
+    each step.
+    """
+    grid = Grid2D(M=M, L=1.0)
+    X, Y = grid.meshgrid()
+    mesh = random_mesh(n_steps, 1.0, seed)
+    state = StepperState(u_prev=MmsProblem.exact(X, Y, 0.0), u_prev2=None, n=0, t=0.0)
+    err, iters = 0.0, []
+    for k in range(1, n_steps + 1):
+        tau = mesh.tau(k)
+        u, it = bdf2_step(
+            state, tau, grid, MmsProblem.eps, lambda t: MmsProblem.source(X, Y, t)
+        )
+        iters.append(it)
+        t = float(mesh.times[k])
+        state = StepperState(u_prev=u, u_prev2=state.u_prev, n=k, t=t, tau_prev=tau)
+        err = max(err, max_norm(u - MmsProblem.exact(X, Y, t)))
+    return err, iters
+
+
 class TestRunMms:
+    """One manufactured-solution march per count, run through the runner."""
+
     def test_small_march_bookkeeping(self):
-        res = run_mms(8, seed=1, M=32)
+        (res,) = mms_sweep([8], seed=1, M=32)
         mesh = random_mesh(8, 1.0, 1)
         assert res.N == 8
-        assert res.seed == 1
-        assert res.tau_max == pytest.approx(float(mesh.steps.max()), rel=1e-15)
+        assert res.tau_max == float(mesh.steps.max())
         assert res.err_inf > 0.0
         assert len(res.newton_iters) == 8
         assert all(it >= 1 for it in res.newton_iters)
         assert res.num_ratio_violations == int(
             np.sum(mesh.ratios[1:] >= S0_LIMIT)
         )
+        # the runner's error observer and step loop change no bit
+        assert (res.err_inf, res.newton_iters) == march_mms(8, 1, 32)
 
     def test_error_is_small_on_a_modest_mesh(self):
         # 8 random steps at M = 32: temporal plus spatial error stays well
         # below the solution scale
-        res = run_mms(8, seed=1, M=32)
+        (res,) = mms_sweep([8], seed=1, M=32)
         assert res.err_inf < 5e-2
 
     def test_sweep_orders_and_nesting(self):

@@ -13,7 +13,7 @@ from acbdf2.kernels import choose_eta
 from acbdf2.runner import CSV_HEADER, ConstraintAbort, run_simulation
 from acbdf2.spatial import Grid2D, read_snapshot, write_snapshot
 from acbdf2.stepper import StepRecord, energy
-from acbdf2.time_mesh import S0_LIMIT
+from acbdf2.time_mesh import S0_LIMIT, constraint_flags
 
 BASE = """
 domain.L = 1.0
@@ -187,6 +187,21 @@ output.dir =
     def test_explicit_tau_seeds_the_first_trial(self):
         res = run_text(self.TEXT + "time.tau = 0.05\n")
         assert res.records[0].tau == pytest.approx(0.05, rel=1e-15)
+
+    def test_rejected_trials_carry_flags_but_raise_no_events(self):
+        # uncapped growth asks for a trial at ratio 100, which is rejected
+        res = run_text(self.TEXT + "adaptive.ratio_cap = off\n")
+        rejected = [r for r in res.records if not r.accepted]
+        assert rejected and not rejected[0].s0_ok
+        for rec in res.records:
+            flags = constraint_flags(
+                rec.tau, rec.ratio, eta=res.summary["eta"], eps=0.02, h=res.grid.h
+            )
+            assert (rec.s0_ok, rec.maxp_bound_ok) == (flags["s0"], flags["max_principle"])
+        accepted = [r for r in res.records if r.accepted]
+        assert res.summary["constraint_violations"]["s0"] == sum(
+            not r.s0_ok for r in accepted
+        )
 
 
 class TestRandomMeshMarch:

@@ -8,14 +8,26 @@ import pytest
 from acbdf2.time_mesh import (
     S0_LIMIT,
     S1_LIMIT,
+    STAB_CONSTANT,
     TimeMesh,
-    check_s0,
-    check_s1,
-    constraint_report,
+    constraint_flags,
     energy_law_bound,
     max_principle_bound,
     solvability_bound,
 )
+
+
+def report(mesh, eps=0.01, h=0.1, eta=0.5):
+    """Every flag of every step of a mesh, the last step followed by ratio 0."""
+    r = mesh.ratios
+    r_next = np.concatenate((r[1:], [0.0]))
+    return constraint_flags(mesh.steps, r, eta=eta, eps=eps, h=h, ratio_next=r_next)
+
+
+def first_violation(flags):
+    """1-based index of the first false flag, or None."""
+    bad = np.flatnonzero(~flags)
+    return int(bad[0]) + 1 if bad.size else None
 
 
 def test_limits_are_the_algebraic_roots():
@@ -42,7 +54,7 @@ class TestTimeMesh:
         mesh = TimeMesh(np.array([0.5]))
         assert mesh.n_steps == 1
         assert mesh.ratios[0] == 0.0
-        assert check_s0(mesh).all()
+        assert report(mesh)["s0"].all()
 
     def test_uniform(self):
         mesh = TimeMesh.uniform(1.0, 4)
@@ -86,31 +98,31 @@ class TestTimeMesh:
 
 class TestStabilityWindows:
     def test_s0_window(self):
-        ok = check_s0(TimeMesh(np.array([1.0, 2.4, 2.4 * 2.5])))
+        ok = report(TimeMesh(np.array([1.0, 2.4, 2.4 * 2.5])))["s0"]
         np.testing.assert_array_equal(ok, [True, True, False])
 
     def test_s0_equality_at_limit_is_a_violation(self):
-        ok = check_s0(TimeMesh(np.array([1.0, S0_LIMIT])))
+        ok = report(TimeMesh(np.array([1.0, S0_LIMIT])))["s0"]
         np.testing.assert_array_equal(ok, [True, False])
+        assert constraint_flags(0.1, S0_LIMIT, eta=0.5, eps=0.01, h=0.1)["s0"] is False
 
     def test_s1_window(self):
-        ok = check_s1(TimeMesh(np.array([1.0, 3.5, 3.5 * 3.6])))
+        ok = report(TimeMesh(np.array([1.0, 3.5, 3.5 * 3.6])))["s1"]
         np.testing.assert_array_equal(ok, [True, True, False])
-        ok = check_s1(TimeMesh(np.array([1.0, S1_LIMIT])))
+        ok = report(TimeMesh(np.array([1.0, S1_LIMIT])))["s1"]
         np.testing.assert_array_equal(ok, [True, False])
+        assert constraint_flags(0.1, S1_LIMIT, eta=0.5, eps=0.01, h=0.1)["s1"] is False
 
     def test_first_step_always_admissible(self):
-        mesh = TimeMesh(np.array([123.0]))
-        assert check_s0(mesh)[0]
-        assert check_s1(mesh)[0]
+        flags = report(TimeMesh(np.array([123.0])))
+        assert flags["s0"][0]
+        assert flags["s1"][0]
 
     def test_s0_implies_s1(self, rng):
         # the zero-stability window sits strictly inside the energy window
         for _ in range(50):
-            mesh = TimeMesh.from_ratios(0.01, rng.uniform(0.05, 4.0, 8))
-            s0 = check_s0(mesh)
-            s1 = check_s1(mesh)
-            assert np.all(s1[s0])
+            flags = report(TimeMesh.from_ratios(0.01, rng.uniform(0.05, 4.0, 8)))
+            assert np.all(flags["s1"][flags["s0"]])
 
 
 class TestSolvabilityBound:
@@ -192,61 +204,73 @@ class TestMaxPrincipleBound:
 
 
 class TestConstraintReport:
+    """``constraint_flags`` over whole meshes, the form the monitors see."""
+
     def test_flags_match_direct_formulas(self, rng):
         mesh = TimeMesh(rng.uniform(0.05, 1.5, 12))
         eps, h, eta = 0.02, 1.0 / 64.0, 0.7
-        rep = constraint_report(mesh, eps=eps, h=h, eta=eta)
+        rep = report(mesh, eps=eps, h=h, eta=eta)
         r = mesh.ratios
         r_next = np.concatenate((r[1:], [0.0]))
         np.testing.assert_array_equal(
-            rep.solvability, mesh.steps < solvability_bound(r)
+            rep["energy_law"], mesh.steps <= energy_law_bound(r, r_next)
         )
         np.testing.assert_array_equal(
-            rep.energy_law, mesh.steps <= energy_law_bound(r, r_next)
+            rep["max_principle"],
+            mesh.steps <= max_principle_bound(r, eta, STAB_CONSTANT, eps, h),
         )
-        np.testing.assert_array_equal(
-            rep.max_principle,
-            mesh.steps <= max_principle_bound(r, eta, 2.0, eps, h),
-        )
-        np.testing.assert_array_equal(rep.s0, check_s0(mesh))
-        np.testing.assert_array_equal(rep.s1, check_s1(mesh))
+        np.testing.assert_array_equal(rep["s0"], (r >= 0.0) & (r < S0_LIMIT))
+        np.testing.assert_array_equal(rep["s1"], (r >= 0.0) & (r < S1_LIMIT))
+        # one step at a time gives the same answers, as plain bools
+        for k in range(mesh.n_steps):
+            one = constraint_flags(
+                mesh.tau(k + 1), mesh.ratio(k + 1), eta=eta, eps=eps, h=h,
+                ratio_next=float(r_next[k]),
+            )
+            assert one == {name: bool(flags[k]) for name, flags in rep.items()}
 
     def test_solvability_is_strict(self):
-        # first step of size exactly 1 sits on the bound: inadmissible
-        rep = constraint_report(
-            TimeMesh(np.array([1.0])), eps=0.01, h=0.1, eta=0.5
-        )
-        assert rep.first_violation("solvability") == 1
+        # a first step of size exactly 1 sits on the bound: inadmissible
+        from acbdf2.spatial import Grid2D
+        from acbdf2.stepper import SolvabilityViolated, StepperState, bdf2_step
+
+        assert solvability_bound(0.0) == 1.0
+        state = StepperState(u_prev=np.zeros((8, 8)), u_prev2=None, n=0, t=0.0)
+        grid = Grid2D(M=8, L=1.0)
+        with pytest.raises(SolvabilityViolated):
+            bdf2_step(state, 1.0, grid, 0.01)
+        u, _ = bdf2_step(state, 1.0 - 1e-3, grid, 0.01)
+        np.testing.assert_array_equal(u, 0.0)
 
     def test_gentle_mesh_is_all_ok(self):
-        rep = constraint_report(
-            TimeMesh.uniform(1.0, 10), eps=0.01, h=0.1, eta=0.5
-        )
-        assert rep.all_ok()
-        assert rep.summary() == {
-            "s0": None,
-            "s1": None,
-            "solvability": None,
-            "energy_law": None,
-            "max_principle": None,
-        }
+        rep = report(TimeMesh.uniform(1.0, 10), eps=0.01, h=0.1, eta=0.5)
+        assert set(rep) == {"s0", "s1", "energy_law", "max_principle"}
+        assert all(flags.all() for flags in rep.values())
 
     def test_first_violation_is_one_based(self):
-        mesh = TimeMesh(np.array([0.5, 1.0, 4.0]))  # ratios 0, 2, 4
-        rep = constraint_report(mesh, eps=0.01, h=0.1, eta=0.9)
-        assert rep.first_violation("s0") == 3
-        assert rep.first_violation("s1") == 3
-        assert rep.first_violation("solvability") == 3
-        assert not rep.all_ok()
+        # the run summary names the violating step n, counting from 1
+        from acbdf2.config import parse_config
+        from acbdf2.experiments import random_mesh
+        from acbdf2.runner import run_simulation
+
+        text = (
+            "domain.M = 8\ndomain.eps = 0.05\ntime.scheme = random-mesh\n"
+            "time.n = 12\ntime.seed = 2\ninit.kind = coarsening\noutput.dir =\n"
+        )
+        summary = run_simulation(parse_config(text)).summary
+        rep = report(random_mesh(12, 1.0, 2))
+        for name in ("s0", "s1"):
+            assert summary["first_violations"][name] == first_violation(rep[name])
+            assert summary["constraint_violations"][name] == int(np.sum(~rep[name]))
+        assert summary["first_violations"]["s0"] == 3
+        assert summary["first_violations"]["s1"] == 5
 
     def test_energy_law_uses_the_following_ratio(self):
         # at ratio 2 the dissipation branch is 2 - r'/(1+r'): a large final
         # ratio fails the second step even though its own size is unchanged
-        tame = constraint_report(
-            TimeMesh(np.array([0.7, 1.4, 1.4])), eps=0.01, h=0.1, eta=0.5
-        )
-        spiky = constraint_report(
-            TimeMesh(np.array([0.7, 1.4, 1.4 * 3.4])), eps=0.01, h=0.1, eta=0.5
-        )
-        assert bool(tame.energy_law[1]) is True
-        assert bool(spiky.energy_law[1]) is False
+        tame = report(TimeMesh(np.array([0.7, 1.4, 1.4])))
+        spiky = report(TimeMesh(np.array([0.7, 1.4, 1.4 * 3.4])))
+        assert bool(tame["energy_law"][1]) is True
+        assert bool(spiky["energy_law"][1]) is False
+        # without the following ratio the flag is not decided yet
+        assert "energy_law" not in constraint_flags(1.4, 2.0, eta=0.5, eps=0.01, h=0.1)
