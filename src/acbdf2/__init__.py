@@ -50,7 +50,6 @@ from .stepper import (
     StepperState,
     bdf2_step,
     energy,
-    jacobian_apply,
     modified_energy,
     nonlinear_solve,
 )

@@ -90,6 +90,9 @@ def _cmd_mms(args: argparse.Namespace) -> int:
     if not n_list or not seeds or min(n_list) < 1:
         print("need at least one positive step count and one seed", file=sys.stderr)
         return EXIT_CONFIG
+    if args.m < 2:
+        print("--m must be at least 2", file=sys.stderr)
+        return EXIT_CONFIG
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = "N,tau_max,err_inf,order,num_ratio_violations"

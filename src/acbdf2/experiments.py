@@ -54,7 +54,8 @@ class MmsProblem:
     def source(cls, X: np.ndarray, Y: np.ndarray, t: float, s=None) -> np.ndarray:
         if s is None:
             s = cls.shape(X, Y)
-        return s * math.cos(t) + (s * math.sin(t)) ** 3
+        v = s * math.sin(t)
+        return s * math.cos(t) + v * v * v
 
 
 def random_mesh(n_steps: int, total_time: float, seed: int) -> TimeMesh:

@@ -13,9 +13,12 @@ picked per linear solve by a fixed condition-number rule
 (:func:`spectral_pays`): Jacobi when the reaction term dominates the
 operator, as on the phase-field runs, and the FFT inverse of its
 constant-coefficient part when diffusion dominates, as in the fine-grid
-accuracy runs.  The Newton initial guess is the previous time level, which
-keeps the iteration in the quadratic regime for every step size the
-safeguards admit.
+accuracy runs.  Newton starts from the linear extrapolation
+``u^n + r (u^n - u^{n-1})`` of the last two levels, ``r = tau / tau_prev``,
+or from ``u^n`` on the first level.  The extrapolation is first-order
+accurate in the step, which saves up to one sweep per solve on variable
+steps, and it keeps the iteration in the quadratic regime for every step
+size the safeguards admit.
 """
 
 from __future__ import annotations
@@ -103,11 +106,6 @@ class StepRecord:
         "n", "t", "tau", "ratio", "e_est", "accepted", "newton_iters",
         "max_norm", "energy", "modified_energy", "s0_ok", "maxp_bound_ok",
     )
-
-
-def jacobian_apply(u: np.ndarray, v: np.ndarray, b0: float, grid: Grid2D, eps: float) -> np.ndarray:
-    """Directional derivative of the step residual at ``u``, applied to ``v``."""
-    return (b0 - 1.0 + 3.0 * u * u) * v - eps * eps * laplacian_apply(v, grid.h)
 
 
 #: Cost of one spectrally preconditioned CG iteration, in Jacobi CG
@@ -334,7 +332,9 @@ def bdf2_step(
     first level), or explicit ``kernels`` when the caller wants a specific
     scheme, e.g. the one-step comparison solution of the adaptive
     controller.  ``source_at(t)`` must return the source field at time
-    ``t``.  Does not mutate ``state``.
+    ``t``.  Newton starts from the linear extrapolation of ``state.u_prev2``
+    and ``state.u_prev`` to ``t + tau`` when the state has both levels.
+    Does not mutate ``state``.
 
     Raises :class:`SolvabilityViolated` when ``tau`` is at or above the
     unique-solvability bound, :class:`NewtonDiverged` on iteration failure.
@@ -355,9 +355,13 @@ def bdf2_step(
         const -= kernels.b1 * (state.u_prev - state.u_prev2)
     if source_at is not None:
         const += source_at(state.t + tau)
+    u0 = state.u_prev
+    if state.u_prev2 is not None and state.tau_prev > 0.0:
+        u0 = state.u_prev - state.u_prev2
+        u0 *= tau / state.tau_prev
+        u0 += state.u_prev
     return nonlinear_solve(
-        state.u_prev, const, kernels.b0, grid, eps, cfg, trace,
-        anchor=state.u_prev,
+        u0, const, kernels.b0, grid, eps, cfg, trace, anchor=state.u_prev,
     )
 
 

@@ -128,6 +128,15 @@ class TestMmsCommand:
         assert main(["mms", "--n-list", "4;8"]) == EXIT_CONFIG
         assert main(["mms", "--n-list", "0"]) == EXIT_CONFIG
 
+    def test_bad_grid_size(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            ["mms", "--m", "1", "--n-list", "2", "--seeds", "0", "--out", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        assert "--m must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCheckKernelsCommand:
     def test_uniform_table_on_stdout(self, capsys):

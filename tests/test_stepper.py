@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from acbdf2.experiments import MMS_EPS2
+from acbdf2.experiments import MMS_EPS2, four_bubble_init, random_mesh
 from acbdf2.kernels import apply_bdf2, step_kernels
 from acbdf2.spatial import Grid2D, laplacian_apply, max_norm
 from acbdf2.stepper import (
@@ -18,7 +18,6 @@ from acbdf2.stepper import (
     _pcg,
     bdf2_step,
     energy,
-    jacobian_apply,
     modified_energy,
     nonlinear_solve,
     spectral_pays,
@@ -34,6 +33,23 @@ def residual_of(u, const, b0, grid, eps):
 
 
 class TestJacobian:
+    """``_pcg`` inverts the derivative of the step residual.
+
+    ``b = J v`` is built independently of the package's operator, and CG
+    on the reaction coefficient ``b0 - 1 + 3 u^2`` the Newton sweep passes
+    must give ``v`` back.
+    """
+
+    @staticmethod
+    def invert(u, b, b0, grid, eps):
+        react = b0 - 1.0 + 3.0 * u * u
+        diag = react + 4.0 * eps * eps / (grid.h * grid.h)
+
+        def jacobi(r, out):
+            np.divide(r, diag, out=out)
+
+        return _pcg(react, eps * eps, grid.h, b, jacobi, 1e-14, 500)
+
     def test_matches_dense_matrix(self, rng):
         M, b0, eps = 8, 2.5, 0.3
         grid = Grid2D(M=M, L=1.0)
@@ -42,11 +58,9 @@ class TestJacobian:
         J = np.diag((b0 - 1.0 + 3.0 * u.ravel() ** 2)) - eps * eps * dense_laplacian(
             M, grid.h
         )
+        b = (J @ v.ravel()).reshape(M, M)
         np.testing.assert_allclose(
-            jacobian_apply(u, v, b0, grid, eps),
-            (J @ v.ravel()).reshape(M, M),
-            rtol=1e-12,
-            atol=1e-12,
+            self.invert(u, b, b0, grid, eps), v, rtol=0.0, atol=1e-12
         )
 
     def test_matches_finite_differences(self, rng):
@@ -59,8 +73,9 @@ class TestJacobian:
             residual_of(u + delta * v, const, b0, grid, eps)
             - residual_of(u - delta * v, const, b0, grid, eps)
         ) / (2.0 * delta)
+        # rounding in the difference quotient (~3e-9) sets the bound
         np.testing.assert_allclose(
-            jacobian_apply(u, v, b0, grid, eps), fd, rtol=0.0, atol=1e-7
+            self.invert(u, fd, b0, grid, eps), v, rtol=0.0, atol=1e-8
         )
 
 
@@ -241,6 +256,16 @@ class TestBdf2Step:
         bdf2_step(state, 0.05, self.GRID, self.EPS)
         np.testing.assert_array_equal(state.u_prev, copy)
 
+    def test_history_is_not_mutated(self, rng):
+        # the extrapolated start must be built in a fresh array
+        u_prev2 = 0.5 * rng.uniform(-1.0, 1.0, (16, 16))
+        u_prev = 0.5 * rng.uniform(-1.0, 1.0, (16, 16))
+        copies = u_prev.copy(), u_prev2.copy()
+        state = StepperState(u_prev=u_prev, u_prev2=u_prev2, n=2, t=0.1, tau_prev=0.05)
+        bdf2_step(state, 0.05, self.GRID, self.EPS)
+        np.testing.assert_array_equal(state.u_prev, copies[0])
+        np.testing.assert_array_equal(state.u_prev2, copies[1])
+
     def test_solvability_guard(self):
         u0 = np.zeros((16, 16))
         with pytest.raises(SolvabilityViolated):
@@ -254,6 +279,77 @@ class TestBdf2Step:
         u0 = np.full((16, 16), 0.9)
         with pytest.raises(NewtonDiverged):
             bdf2_step(self.first_state(u0), 0.9, self.GRID, self.EPS, cfg=cfg)
+
+
+class TestExtrapolatedStart:
+    """Newton starts from ``u^n + r (u^n - u^{n-1})`` once there is a history.
+
+    The reference march below is the start from the previous level, written
+    out with :func:`nonlinear_solve`.  Both starts solve the same system to
+    the same residual tolerance, so their roots may differ by about
+    ``newton.tol`` per level; :data:`ROOT_BOUND` allows ten times that.
+    """
+
+    GRID = Grid2D(M=32, L=2.0, origin=-1.0)
+    EPS = 0.02
+    CFG = NewtonConfig()
+    ROOT_BOUND = 10.0 * CFG.tol
+
+    def reference_march(self, mesh, u0):
+        u_prev, u_prev2, tau_prev = u0, None, 0.0
+        levels = []
+        for tau in mesh.steps:
+            k = step_kernels(tau, 0.0 if u_prev2 is None else tau / tau_prev)
+            const = np.zeros_like(u_prev)
+            if u_prev2 is not None:
+                const -= k.b1 * (u_prev - u_prev2)
+            u, sweeps = nonlinear_solve(
+                u_prev, const, k.b0, self.GRID, self.EPS, self.CFG, anchor=u_prev
+            )
+            levels.append((u, sweeps))
+            u_prev, u_prev2, tau_prev = u, u_prev, tau
+        return levels
+
+    def march(self, mesh, u0):
+        state = StepperState(u_prev=u0, u_prev2=None, n=0, t=0.0)
+        levels = []
+        for tau in mesh.steps:
+            u, sweeps = bdf2_step(state, tau, self.GRID, self.EPS, cfg=self.CFG)
+            levels.append((u, sweeps))
+            state = StepperState(
+                u_prev=u, u_prev2=state.u_prev, n=state.n + 1,
+                t=state.t + tau, tau_prev=tau,
+            )
+        return levels
+
+    def compare(self, mesh):
+        u0 = four_bubble_init(self.GRID, self.EPS)
+        ref = self.reference_march(mesh, u0)
+        got = self.march(mesh, u0)
+        for (u_ref, _), (u, _) in zip(ref, got):
+            assert max_norm(u - u_ref) <= self.ROOT_BOUND
+        return sum(s for _, s in ref), sum(s for _, s in got)
+
+    def test_constant_history_starts_from_the_previous_level(self, rng):
+        u = rng.uniform(-1.0, 1.0, (32, 32))
+        state = StepperState(u_prev=u, u_prev2=u.copy(), n=3, t=0.3, tau_prev=0.1)
+        tau = 0.05
+        got, got_sweeps = bdf2_step(state, tau, self.GRID, self.EPS, cfg=self.CFG)
+        k = step_kernels(tau, tau / 0.1)
+        want, want_sweeps = nonlinear_solve(
+            u, np.zeros_like(u), k.b0, self.GRID, self.EPS, self.CFG, anchor=u
+        )
+        np.testing.assert_array_equal(got, want)
+        assert got_sweeps == want_sweeps
+
+    def test_random_mesh_march_saves_sweeps(self):
+        ref_sweeps, sweeps = self.compare(random_mesh(20, 1.0, 3))
+        assert sweeps < ref_sweeps
+
+    def test_converges_past_a_step_ratio_of_100(self):
+        mesh = random_mesh(40, 1.0, 1002)
+        assert mesh.ratios.max() > 100.0
+        self.compare(mesh)
 
 
 class TestEnergies:
