@@ -32,7 +32,9 @@ class MmsProblem:
     ``g = s cos t + (s sin t)^3`` with ``s = sin(2 pi x) sin(2 pi y)``.
 
     Both fields take the spatial factor ``s = shape(X, Y)`` when the caller
-    has it, so a march computes it once instead of on every step.
+    has it, so a march computes it once instead of on every step.  They are
+    written into ``out`` when given, else into a new array; the source also
+    needs one more field, ``scratch``, made here when not given.
     """
 
     eps2 = MMS_EPS2
@@ -45,17 +47,24 @@ class MmsProblem:
         return np.sin(2.0 * math.pi * X) * np.sin(2.0 * math.pi * Y)
 
     @classmethod
-    def exact(cls, X: np.ndarray, Y: np.ndarray, t: float, s=None) -> np.ndarray:
+    def exact(
+        cls, X: np.ndarray, Y: np.ndarray, t: float, s=None, out=None
+    ) -> np.ndarray:
         if s is None:
             s = cls.shape(X, Y)
-        return s * math.sin(t)
+        return np.multiply(s, math.sin(t), out=out)
 
     @classmethod
-    def source(cls, X: np.ndarray, Y: np.ndarray, t: float, s=None) -> np.ndarray:
+    def source(
+        cls, X: np.ndarray, Y: np.ndarray, t: float, s=None, out=None, scratch=None
+    ) -> np.ndarray:
         if s is None:
             s = cls.shape(X, Y)
-        v = s * math.sin(t)
-        return s * math.cos(t) + v * v * v
+        v = np.multiply(s, math.sin(t), out=scratch)
+        g = np.multiply(v, v, out=out)
+        g *= v
+        # s cos t + v^3, with v's field reused for s cos t
+        return np.add(g, np.multiply(s, math.cos(t), out=v), out=g)
 
 
 def random_mesh(n_steps: int, total_time: float, seed: int) -> TimeMesh:

@@ -189,12 +189,16 @@ class _Run:
         if kind == "mms":
             X, Y = grid.meshgrid()
             s = MmsProblem.shape(X, Y)
+            # run-owned fields: the source's value and scratch; the error
+            # observer reuses the scratch, which is dead between calls
+            g, work = np.empty_like(s), np.empty_like(s)
 
             def source_at(t: float) -> np.ndarray:
-                return MmsProblem.source(X, Y, t, s)
+                return MmsProblem.source(X, Y, t, s, out=g, scratch=work)
 
             def error_at(u: np.ndarray, t: float) -> float:
-                return max_norm(u - MmsProblem.exact(X, Y, t, s))
+                err = MmsProblem.exact(X, Y, t, s, out=work)
+                return max_norm(np.subtract(u, err, out=err))
 
             return MmsProblem.exact(X, Y, 0.0, s), source_at, error_at
         if kind == "file":

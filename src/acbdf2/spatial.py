@@ -61,6 +61,17 @@ class Grid2D:
         symbol.flags.writeable = False
         return symbol
 
+    @cached_property
+    def work(self) -> dict:
+        """Work buffers the solver layers keep for this grid, by owner.
+
+        Empty until a layer first stores its buffers here; they then live as
+        long as the grid, so a march reuses one set on every step (the
+        stepper's is :class:`acbdf2.stepper.Workspace`).  Their contents
+        belong to the call that is running: one solve at a time per grid.
+        """
+        return {}
+
 
 def laplacian_apply(
     u: np.ndarray,
@@ -105,7 +116,11 @@ def laplacian_apply(
 
 
 def max_norm(u: np.ndarray) -> float:
-    return float(np.max(np.abs(u)))
+    """``max |u|`` from the extremes of ``u``, so no ``|u|`` field is made.
+
+    ``abs`` only clears the sign of a zero norm.
+    """
+    return abs(float(max(u.max(), -u.min())))
 
 
 def l2_norm(u: np.ndarray, h: float) -> float:

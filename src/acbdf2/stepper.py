@@ -19,6 +19,11 @@ or from ``u^n`` on the first level.  The extrapolation is first-order
 accurate in the step, which saves up to one sweep per solve on variable
 steps, and it keeps the iteration in the quadratic regime for every step
 size the safeguards admit.
+
+Every call on a grid works in that grid's :class:`Workspace`, one set of
+fields built on first use and reused by every later step, sweep, linear
+solve and energy, so a warmed step allocates nothing but the root it
+returns.
 """
 
 from __future__ import annotations
@@ -108,6 +113,60 @@ class StepRecord:
     )
 
 
+class Workspace:
+    """The solver's work fields on one ``M x M`` grid; see :func:`workspace`.
+
+    A field holds nothing between calls: the call that owns it writes it
+    before reading it.  Fields whose lifetimes overlap are distinct; the
+    others share storage.  No field is handed to a caller outside this
+    module.
+
+    * ``lap``, ``scratch``: output and scratch of :func:`laplacian_apply`,
+      and elementwise temporaries, in :func:`nonlinear_solve`, :func:`_pcg`,
+      :func:`energy` and :func:`modified_energy`.
+    * ``w``, ``base``, ``lin_coef``, ``cubic_shift``: :func:`nonlinear_solve`,
+      live for the whole solve.
+    * ``residual``, ``react``, ``diag``, ``inv``: one Newton sweep: the
+      linear system's right side, its reaction coefficient, the Jacobi
+      diagonal and the spectral preconditioner's inverse symbol (a complex
+      half spectrum with zero imaginary part).
+    * ``delta``, ``r``, ``z``, ``p``, ``ap``: :func:`_pcg`; ``delta`` takes
+      the correction it returns to :func:`nonlinear_solve`.
+    * ``spec``, ``spec_work``: complex half spectra, the transforms of every
+      preconditioner :func:`spectral_preconditioner` builds on the grid.
+
+    That is 14 real fields and three half spectra, about 17 fields; the
+    spectra are touched only on runs that pick the spectral preconditioner.
+    * ``const`` (storage of ``r``) and ``start`` (storage of ``z``):
+      :func:`bdf2_step`'s constant term and its history difference, which
+      becomes the extrapolated start.  Both are dead once
+      :func:`nonlinear_solve` has formed ``base`` and ``w``, before
+      :func:`_pcg` first writes ``r`` and ``z``.
+    """
+
+    def __init__(self, M: int):
+        (
+            self.lap, self.scratch,
+            self.w, self.base, self.lin_coef, self.cubic_shift,
+            self.residual, self.react, self.diag,
+            self.delta, self.r, self.z, self.p, self.ap,
+        ) = np.empty((14, M, M))
+        self.inv, self.spec, self.spec_work = np.empty((3, M, M // 2 + 1), dtype=complex)
+        self.const = self.r
+        self.start = self.z
+
+
+def workspace(grid: Grid2D) -> Workspace:
+    """The grid's :class:`Workspace`, built on the first call for the grid.
+
+    It lives as long as the grid, so a march reuses it on every level.
+    """
+    ws = grid.work.get(Workspace)
+    if ws is None:
+        ws = grid.work[Workspace] = Workspace(grid.M)
+    return ws
+
+
 #: Cost of one spectrally preconditioned CG iteration, in Jacobi CG
 #: iterations.  A Jacobi iteration makes about 62 passes over the field (31
 #: of them in the Laplacian).  The spectral one swaps the 3-pass division
@@ -133,17 +192,29 @@ def spectral_pays(lo: float, hi: float, e2: float, h: float) -> bool:
     return math.sqrt((hi + 8.0 * e2 / (h * h)) / lo) > SPECTRAL_COST * math.sqrt(hi / lo)
 
 
-def spectral_preconditioner(grid: Grid2D, c: float, e2: float):
+def spectral_preconditioner(grid: Grid2D, c: float, e2: float, inv=None):
     """Exact inverse of ``c v - e2 Lap v`` by FFT, as ``apply(r, out)``.
 
     With ``c`` in the range of the reaction coefficient, the preconditioned
     operator's spectrum lies in ``[lo / c, hi / c]`` whatever the grid.
-    The transforms run one axis at a time into buffers made here: fresh
-    arrays on every call cost about as much as the transforms at M = 256.
+    The inverse symbol goes into ``inv`` when given (the Newton sweep passes
+    its workspace's), else into a new array, so a preconditioner the caller
+    keeps is never overwritten by a later one.  The transforms run one axis
+    at a time through the grid workspace's two complex spectra, which hold
+    nothing between applications: fresh arrays on every application cost
+    about as much as the transforms at M = 256.
     """
-    inv = 1.0 / (c + e2 * grid.neg_laplacian_symbol)
-    spec = np.empty(inv.shape, dtype=complex)
-    work = np.empty_like(spec)
+    ws = workspace(grid)
+    if inv is None:
+        inv = np.empty_like(ws.inv)
+    # real values stored complex: the product with the spectrum below then
+    # runs complex by complex, as it would after a cast, with no cast copy
+    re = inv.real
+    np.multiply(grid.neg_laplacian_symbol, e2, out=re)
+    re += c
+    np.divide(1.0, re, out=re)
+    inv.imag = 0.0
+    spec, work = ws.spec, ws.spec_work
 
     def apply(r: np.ndarray, out: np.ndarray) -> None:
         np.fft.rfft(r, axis=1, out=spec)
@@ -158,32 +229,35 @@ def spectral_preconditioner(grid: Grid2D, c: float, e2: float):
 def _pcg(
     react: np.ndarray,
     e2: float,
-    h: float,
+    grid: Grid2D,
     b: np.ndarray,
     precond,
     rtol: float,
     max_iter: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Preconditioned CG on ``react v - e2 Lap v = b``, zero guess.
 
     ``react`` is the pointwise reaction coefficient ``b0 - 1 + 3 u^2``; the
     operator is SPD for ``b0 > 1``.  ``precond(r, out)`` writes the
     preconditioned residual into ``out``.  Stops at ``||residual||_2 <= rtol
-    ||b||_2``.  The loop works in preallocated buffers and allocates
-    nothing per iteration.
+    ||b||_2``.  The solution goes into ``out`` when given, else into a new
+    array.  The iteration runs in the grid workspace's ``r``, ``z``, ``p``,
+    ``ap``, ``lap`` and ``scratch`` and allocates nothing, per iteration or
+    per call.
     """
+    h = grid.h
+    ws = workspace(grid)
     bf = b.ravel()
     b_norm = math.sqrt(float(np.dot(bf, bf)))
-    x = np.zeros_like(b, order="C")
+    x = np.empty_like(b, order="C") if out is None else out
+    x.fill(0.0)
     if b_norm == 0.0:
         return x
-    r = b.copy()
-    z = np.empty_like(b, order="C")
+    r, z, p, ap, lap, scratch = ws.r, ws.z, ws.p, ws.ap, ws.lap, ws.scratch
+    np.copyto(r, b)
     precond(r, z)
-    p = z.copy()
-    ap = np.empty_like(b, order="C")
-    lap = np.empty_like(b, order="C")
-    scratch = np.empty_like(b, order="C")
+    np.copyto(p, z)
     rf = r.ravel()
     zf = z.ravel()
     pf = p.ravel()
@@ -241,35 +315,38 @@ def nonlinear_solve(
     the outer iteration is preserved at a fraction of the inner work; the
     configured ``lin_rtol`` acts as the floor.  Each linear solve takes the
     preconditioner :func:`spectral_pays` picks for its reaction range.
+
+    Everything but the returned root lives in the grid's :class:`Workspace`.
+    ``u0`` and ``const`` are read only before the first sweep.
     """
     h = grid.h
     e2 = eps * eps
-    lap = np.empty_like(u0, order="C")
-    scratch = np.empty_like(u0, order="C")
-    residual = np.empty_like(u0, order="C")
-    react = np.empty_like(u0, order="C")
-    diag = np.empty_like(u0, order="C")
+    ws = workspace(grid)
+    lap, scratch, residual = ws.lap, ws.scratch, ws.residual
+    react, diag, w, base = ws.react, ws.diag, ws.w, ws.base
 
     def jacobi(r: np.ndarray, out: np.ndarray) -> None:
         np.divide(r, diag, out=out)
 
     # base residual at w = 0: everything that does not move with w
     if anchor is None:
-        w = u0.copy()
-        base = np.negative(const)
+        np.copyto(w, u0)
+        np.negative(const, out=base)
         lin_coef = b0 - 1.0
         cubic_shift = None
     else:
-        w = u0 - anchor
+        np.subtract(u0, anchor, out=w)
         laplacian_apply(anchor, h, out=lap, scratch=scratch)
-        base = anchor * anchor
+        np.multiply(anchor, anchor, out=base)
         base -= 1.0
         base *= anchor
         lap *= e2
         base -= lap
         base -= const
-        lin_coef = b0 - 1.0 + 3.0 * anchor * anchor
-        cubic_shift = 3.0 * anchor
+        # b0 - 1 + (3 a) a
+        cubic_shift = np.multiply(anchor, 3.0, out=ws.cubic_shift)
+        lin_coef = np.multiply(cubic_shift, anchor, out=ws.lin_coef)
+        lin_coef += b0 - 1.0
     u = np.empty_like(u0, order="C")
     res_prev = None
     for sweep in range(1, cfg.max_iter + 1):
@@ -306,13 +383,15 @@ def nonlinear_solve(
         react *= 3.0
         react += b0 - 1.0
         if spectral_pays(b0 - 1.0, float(react.max()), e2, h):
-            precond = spectral_preconditioner(grid, b0 - 1.0, e2)
+            precond = spectral_preconditioner(grid, b0 - 1.0, e2, inv=ws.inv)
         else:
             np.add(react, 4.0 * e2 / (h * h), out=diag)
             precond = jacobi
         np.negative(residual, out=residual)
-        delta = _pcg(react, e2, h, residual, precond, rtol_k, cfg.lin_max_iter)
-        w += delta
+        w += _pcg(
+            react, e2, grid, residual, precond, rtol_k, cfg.lin_max_iter,
+            out=ws.delta,
+        )
     raise NewtonDiverged(f"no convergence in {cfg.max_iter} Newton sweeps")
 
 
@@ -332,9 +411,10 @@ def bdf2_step(
     first level), or explicit ``kernels`` when the caller wants a specific
     scheme, e.g. the one-step comparison solution of the adaptive
     controller.  ``source_at(t)`` must return the source field at time
-    ``t``.  Newton starts from the linear extrapolation of ``state.u_prev2``
-    and ``state.u_prev`` to ``t + tau`` when the state has both levels.
-    Does not mutate ``state``.
+    ``t``; it may return a buffer it reuses, as this call reads it at once.
+    Newton starts from the linear extrapolation of ``state.u_prev2`` and
+    ``state.u_prev`` to ``t + tau`` when the state has both levels.  Does
+    not mutate ``state``.
 
     Raises :class:`SolvabilityViolated` when ``tau`` is at or above the
     unique-solvability bound, :class:`NewtonDiverged` on iteration failure.
@@ -350,14 +430,24 @@ def bdf2_step(
             f"tau = {kernels.tau:g} at ratio {kernels.ratio:g} reaches the "
             f"solvability bound {solvability_bound(kernels.ratio):g}"
         )
-    const = np.zeros_like(state.u_prev)
+    ws = workspace(grid)
+    const = ws.const
+    extrapolate = state.u_prev2 is not None and state.tau_prev > 0.0
+    if kernels.b1 != 0.0 or extrapolate:
+        # one history difference serves the constant and the start
+        diff = np.subtract(state.u_prev, state.u_prev2, out=ws.start)
     if kernels.b1 != 0.0:
-        const -= kernels.b1 * (state.u_prev - state.u_prev2)
+        np.multiply(diff, kernels.b1, out=const)
+        # 0 - b1 diff rather than -(b1 diff), so zeros keep the sign a
+        # zero field minus b1 diff gives them
+        np.subtract(0.0, const, out=const)
+    else:
+        const.fill(0.0)
     if source_at is not None:
         const += source_at(state.t + tau)
     u0 = state.u_prev
-    if state.u_prev2 is not None and state.tau_prev > 0.0:
-        u0 = state.u_prev - state.u_prev2
+    if extrapolate:
+        u0 = diff
         u0 *= tau / state.tau_prev
         u0 += state.u_prev
     return nonlinear_solve(
@@ -372,10 +462,12 @@ def energy(u: np.ndarray, grid: Grid2D, eps: float) -> float:
     quadrature weight makes values comparable across resolutions.
     """
     h = grid.h
-    lap = laplacian_apply(u, h)
-    grad_part = -0.5 * eps * eps * float(np.sum(u * lap))
-    well = 1.0 - u * u
-    well_part = 0.25 * float(np.sum(well * well))
+    ws = workspace(grid)
+    lap = laplacian_apply(u, h, out=ws.lap, scratch=ws.scratch)
+    grad_part = -0.5 * eps * eps * float(np.sum(np.multiply(u, lap, out=ws.scratch)))
+    well = np.multiply(u, u, out=ws.lap)
+    np.subtract(1.0, well, out=well)
+    well_part = 0.25 * float(np.sum(np.multiply(well, well, out=ws.scratch)))
     return h * h * (grad_part + well_part)
 
 
@@ -396,6 +488,9 @@ def modified_energy(
     base = energy(u_curr, grid, eps)
     if ratio_next == 0.0:
         return base
-    diff = (u_curr - u_prev) / tau
+    ws = workspace(grid)
+    diff = np.subtract(u_curr, u_prev, out=ws.lap)
+    diff /= tau
     weight = ratio_next * tau / (2.0 * (1.0 + ratio_next))
-    return base + weight * grid.h * grid.h * float(np.sum(diff * diff))
+    sq = np.multiply(diff, diff, out=ws.scratch)
+    return base + weight * grid.h * grid.h * float(np.sum(sq))

@@ -2,10 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from acbdf2 import runner
 from acbdf2.adaptive import DEFAULT_RATIO_CAP
 from acbdf2.config import parse_config
 from acbdf2.experiments import coarsening_init, random_mesh
@@ -307,10 +309,7 @@ output.dir =
         with pytest.raises(ValueError, match="8x8"):
             run_text(text)
 
-    def test_mms_init_wires_the_source(self):
-        # without the forcing the field would stay near zero and miss the
-        # exact solution by sin(1); with it the error is tiny
-        text = """
+    MMS = """
 domain.M = 64
 time.T = 1.0
 time.scheme = random-mesh
@@ -319,10 +318,36 @@ time.seed = 1
 init.kind = mms
 output.dir =
 """
-        res = run_text(text)
+
+    def test_mms_init_wires_the_source(self):
+        # without the forcing the field would stay near zero and miss the
+        # exact solution by sin(1); with it the error is tiny
+        res = run_text(self.MMS)
         from acbdf2.experiments import MmsProblem
 
         grid = res.grid
         X, Y = grid.meshgrid()
         exact = MmsProblem.exact(X, Y, res.summary["final_time"])
         assert float(np.abs(res.u_final - exact).max()) < 0.05
+
+    def test_mms_level_allocates_only_its_root(self, monkeypatch):
+        # the solve, the energies, the source and the error observer all
+        # work in reused fields, so a warmed level allocates its root alone
+        marks = []
+        step = runner.bdf2_step
+
+        def marked(*args, **kwargs):
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "bdf2_step", marked)
+        tracemalloc.start()
+        try:
+            run_text(self.MMS)
+        finally:
+            tracemalloc.stop()
+        # a level runs from its step's start to the next one's; two warm up
+        excess = [peak - start for (start, _), (_, peak) in zip(marks[2:], marks[3:])]
+        assert len(excess) == 7
+        assert max(excess) < 1.5 * 8 * 64 * 64

@@ -96,6 +96,8 @@ class TestNorms:
     def test_max_norm(self):
         u = np.array([[1.0, -3.0], [2.0, 0.5]])
         assert max_norm(u) == 3.0
+        assert math.copysign(1.0, max_norm(-np.zeros((2, 2)))) == 1.0
+        assert math.isnan(max_norm(np.array([[1.0, np.nan]])))
 
     def test_l2_norm_of_ones_is_the_edge_length(self):
         # h sqrt(sum u^2) = h M = L for a constant-one field

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ class TestJacobian:
         def jacobi(r, out):
             np.divide(r, diag, out=out)
 
-        return _pcg(react, eps * eps, grid.h, b, jacobi, 1e-14, 500)
+        return _pcg(react, eps * eps, grid, b, jacobi, 1e-14, 500)
 
     def test_matches_dense_matrix(self, rng):
         M, b0, eps = 8, 2.5, 0.3
@@ -88,7 +89,9 @@ class TestSpectralPreconditioner:
         v = rng.standard_normal((M, M))
         applied = c * v - e2 * laplacian_apply(v, grid.h)
         out = np.empty_like(v)
-        spectral_preconditioner(grid, c, e2)(applied, out)
+        precond = spectral_preconditioner(grid, c, e2)
+        spectral_preconditioner(grid, 2.0 * c, e2)  # must not overwrite it
+        precond(applied, out)
         np.testing.assert_allclose(out, v, rtol=0.0, atol=1e-12)
 
     def test_pcg_matches_a_dense_solve(self, rng):
@@ -102,7 +105,7 @@ class TestSpectralPreconditioner:
         expect = np.linalg.solve(A, b.ravel()).reshape(M, M)
         # c = b0 - 1, the low end of the reaction range, as in nonlinear_solve
         precond = spectral_preconditioner(grid, 19.0, e2)
-        got = _pcg(react, e2, grid.h, b, precond, 1e-14, 100)
+        got = _pcg(react, e2, grid, b, precond, 1e-14, 100)
         np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("b0", [1.5 / 1e-3, 1.0 / 0.1, 1.5 / 0.1])
@@ -350,6 +353,105 @@ class TestExtrapolatedStart:
         mesh = random_mesh(40, 1.0, 1002)
         assert mesh.ratios.max() > 100.0
         self.compare(mesh)
+
+
+def peak_fields(grid, call):
+    """Peak memory a warmed ``call()`` allocates, in fields of ``grid``.
+
+    ``call`` runs once unmeasured first, so workspaces and caches exist;
+    tracemalloc sees numpy's data buffers, and the peak includes a root the
+    call returns.
+    """
+    tracemalloc.start()
+    try:
+        call()
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / (8 * grid.M * grid.M)
+
+
+class TestWorkspace:
+    """Calls on a grid reuse its work fields and never hand one out."""
+
+    GRID = Grid2D(M=64, L=2.0, origin=-1.0)
+    EPS = 0.02
+    TAU = 1e-3
+
+    def two_step_state(self):
+        u0 = four_bubble_init(self.GRID, self.EPS)
+        first = StepperState(u_prev=u0, u_prev2=None, n=0, t=0.0)
+        u1, _ = bdf2_step(first, self.TAU, self.GRID, self.EPS)
+        return StepperState(u_prev=u1, u_prev2=u0, n=1, t=self.TAU, tau_prev=self.TAU)
+
+    def test_warm_two_step_allocates_only_its_root(self):
+        state = self.two_step_state()
+        fields = peak_fields(
+            self.GRID, lambda: bdf2_step(state, self.TAU, self.GRID, self.EPS)
+        )
+        assert fields < 1.5
+
+    def test_energies_allocate_no_field(self):
+        state = self.two_step_state()
+
+        def both():
+            energy(state.u_prev, self.GRID, self.EPS)
+            modified_energy(state.u_prev, state.u_prev2, self.TAU, 1.0, self.GRID, self.EPS)
+
+        assert peak_fields(self.GRID, both) < 0.5
+
+    def test_consecutive_roots_are_distinct(self):
+        state = self.two_step_state()
+        u2, _ = bdf2_step(state, self.TAU, self.GRID, self.EPS)
+        kept = u2.copy()
+        state = StepperState(
+            u_prev=u2, u_prev2=state.u_prev, n=2, t=2 * self.TAU, tau_prev=self.TAU
+        )
+        u3, _ = bdf2_step(state, self.TAU, self.GRID, self.EPS)
+        assert not np.shares_memory(u2, u3)
+        np.testing.assert_array_equal(u2, kept)
+
+    def test_pcg_result_survives_a_later_solve(self, rng):
+        grid = Grid2D(M=16, L=1.0)
+        react = np.full((16, 16), 5.0)
+        diag = react + 4.0 * 0.01 / grid.h**2
+
+        def jacobi(r, out):
+            np.divide(r, diag, out=out)
+
+        x1 = _pcg(react, 0.01, grid, rng.standard_normal((16, 16)), jacobi, 1e-12, 200)
+        kept = x1.copy()
+        x2 = _pcg(react, 0.01, grid, rng.standard_normal((16, 16)), jacobi, 1e-12, 200)
+        assert not np.shares_memory(x1, x2)
+        np.testing.assert_array_equal(x1, kept)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5], ids=["jacobi", "spectral"])
+    def test_root_does_not_depend_on_earlier_solves(self, eps):
+        # a work field some call reads before rewriting it, such as a CG
+        # guess left unzeroed, would carry the earlier solves into this one
+        grids = {M: Grid2D(M=M, L=1.0) for M in (16, 15)}
+        tau = 0.1
+
+        def solve(M):
+            grid = grids[M]
+            X, Y = grid.meshgrid()
+            u_prev2 = 0.5 * np.sin(2.0 * math.pi * X) * np.cos(2.0 * math.pi * Y)
+            state = StepperState(
+                u_prev=1.1 * u_prev2, u_prev2=u_prev2, n=1, t=tau, tau_prev=tau
+            )
+            return bdf2_step(state, tau, grid, eps)
+
+        b0 = step_kernels(tau, 1.0).b0
+        spectral = eps == 0.5
+        assert spectral_pays(b0 - 1.0, b0 + 2.0, eps * eps, grids[16].h) == spectral
+        first, first_sweeps = solve(16)
+        solve(15)
+        again, again_sweeps = solve(16)
+        np.testing.assert_array_equal(again, first)
+        assert again_sweeps == first_sweeps
 
 
 class TestEnergies:
