@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spatial import Grid2D, l2_norm, max_norm
-from .stepper import NewtonConfig, StepRecord, StepperState, bdf2_step
+from .stepper import NewtonConfig, StepRecord, StepperState, bdf2_step, workspace
 from .kernels import step_kernels
 from .time_mesh import RATIO_CEILING
 
@@ -89,14 +89,25 @@ class AdaptiveConfig:
         return errs
 
 
-def error_estimate(u1: np.ndarray, u2: np.ndarray, h: float, norm: str = "l2") -> float:
-    """Relative distance of the two candidate solutions."""
+def error_estimate(
+    u1: np.ndarray,
+    u2: np.ndarray,
+    h: float,
+    norm: str = "l2",
+    scratch: np.ndarray | None = None,
+) -> float:
+    """Relative distance of the two candidate solutions.
+
+    The difference and the squares go into ``scratch`` when given, else
+    into new arrays; :func:`advance` passes its grid workspace's.
+    """
     if norm == "l2":
-        ref = l2_norm(u2, h)
-        diff = l2_norm(u2 - u1, h)
+        ref = l2_norm(u2, h, scratch)
+        d = np.subtract(u2, u1, out=scratch)
+        diff = l2_norm(d, h, d)
     elif norm == "max":
         ref = max_norm(u2)
-        diff = max_norm(u2 - u1)
+        diff = max_norm(np.subtract(u2, u1, out=scratch))
     else:
         raise ValueError("error norm must be 'l2' or 'max'")
     if ref == 0.0:
@@ -170,7 +181,7 @@ def advance(
                 state, tau, grid, eps, source_at, newton_cfg,
                 kernels=step_kernels(tau, ratio),
             )
-            e = error_estimate(u1, u2, grid.h, cfg.error_norm)
+            e = error_estimate(u1, u2, grid.h, cfg.error_norm, workspace(grid).scratch)
         record = StepRecord(
             n=state.n + 1,
             t=state.t + tau,

@@ -123,9 +123,13 @@ def max_norm(u: np.ndarray) -> float:
     return abs(float(max(u.max(), -u.min())))
 
 
-def l2_norm(u: np.ndarray, h: float) -> float:
-    """Grid-weighted l2 norm, ``sqrt(h^2 sum u^2)``."""
-    return float(h * np.sqrt(np.sum(u * u)))
+def l2_norm(u: np.ndarray, h: float, scratch: np.ndarray | None = None) -> float:
+    """Grid-weighted l2 norm, ``sqrt(h^2 sum u^2)``.
+
+    The squares go into ``scratch`` when given (it may be ``u`` itself),
+    else into a new array.
+    """
+    return float(h * np.sqrt(np.sum(np.multiply(u, u, out=scratch))))
 
 
 def write_snapshot(path: str, u: np.ndarray, t: float) -> None:

@@ -8,7 +8,9 @@ solved by an undamped Newton iteration whose linear systems are symmetric
 positive definite whenever ``b0 > 1``; that inequality is exactly the
 step-size solvability bound ``tau_n < (1+2 r_n)/(1+ r_n)``, which is checked
 up front.  The Jacobian is applied matrix-free and each Newton correction is
-computed by preconditioned conjugate gradients.  The preconditioner is
+computed by preconditioned conjugate gradients, stopped where the next
+max-norm residual test can no longer see its error
+(:func:`nonlinear_solve`).  The preconditioner is
 picked per linear solve by a fixed condition-number rule
 (:func:`spectral_pays`): Jacobi when the reaction term dominates the
 operator, as on the phase-field runs, and the FFT inverse of its
@@ -119,11 +121,12 @@ class Workspace:
     A field holds nothing between calls: the call that owns it writes it
     before reading it.  Fields whose lifetimes overlap are distinct; the
     others share storage.  No field is handed to a caller outside this
-    module.
+    module, except ``scratch`` to :func:`acbdf2.adaptive.advance`.
 
     * ``lap``, ``scratch``: output and scratch of :func:`laplacian_apply`,
       and elementwise temporaries, in :func:`nonlinear_solve`, :func:`_pcg`,
-      :func:`energy` and :func:`modified_energy`.
+      :func:`energy` and :func:`modified_energy`.  ``advance`` lends
+      ``scratch`` to :func:`acbdf2.adaptive.error_estimate` between solves.
     * ``w``, ``base``, ``lin_coef``, ``cubic_shift``: :func:`nonlinear_solve`,
       live for the whole solve.
     * ``residual``, ``react``, ``diag``, ``inv``: one Newton sweep: the
@@ -235,16 +238,19 @@ def _pcg(
     rtol: float,
     max_iter: int,
     out: np.ndarray | None = None,
+    atol: float = 0.0,
 ) -> np.ndarray:
     """Preconditioned CG on ``react v - e2 Lap v = b``, zero guess.
 
     ``react`` is the pointwise reaction coefficient ``b0 - 1 + 3 u^2``; the
     operator is SPD for ``b0 > 1``.  ``precond(r, out)`` writes the
-    preconditioned residual into ``out``.  Stops at ``||residual||_2 <= rtol
-    ||b||_2``.  The solution goes into ``out`` when given, else into a new
-    array.  The iteration runs in the grid workspace's ``r``, ``z``, ``p``,
-    ``ap``, ``lap`` and ``scratch`` and allocates nothing, per iteration or
-    per call.
+    preconditioned residual into ``out``.  Stops at the first iterate whose
+    recurrence residual meets ``||residual||_2 <= max(rtol ||b||_2, atol)``;
+    the absolute stop ``atol`` keeps Newton from solving a correction far
+    below what its next residual test can see.  The solution goes into
+    ``out`` when given, else into a new array.  The iteration runs in the
+    grid workspace's ``r``, ``z``, ``p``, ``ap``, ``lap`` and ``scratch``
+    and allocates nothing, per iteration or per call.
     """
     h = grid.h
     ws = workspace(grid)
@@ -252,7 +258,8 @@ def _pcg(
     b_norm = math.sqrt(float(np.dot(bf, bf)))
     x = np.empty_like(b, order="C") if out is None else out
     x.fill(0.0)
-    if b_norm == 0.0:
+    target = max(rtol * b_norm, atol)
+    if b_norm <= target:
         return x
     r, z, p, ap, lap, scratch = ws.r, ws.z, ws.p, ws.ap, ws.lap, ws.scratch
     np.copyto(r, b)
@@ -263,7 +270,6 @@ def _pcg(
     pf = p.ravel()
     apf = ap.ravel()
     rz = float(np.dot(rf, zf))
-    target = rtol * b_norm
     for _ in range(max_iter):
         laplacian_apply(p, h, out=lap, scratch=scratch)
         np.multiply(react, p, out=ap)
@@ -284,6 +290,25 @@ def _pcg(
     raise NewtonDiverged("inner linear solve stalled")
 
 
+def finishes(res: float, u_max: float, b0: float, tol: float) -> bool:
+    """Whether a correction solved to ``tol / 2`` must leave a residual within ``tol``.
+
+    ``res`` is the sweep's residual max-norm and ``u_max`` the max-norm of
+    its iterate ``u``.  The Newton Jacobian ``J = diag(b0 - 1 + 3 u^2) -
+    eps^2 Lap`` is strictly diagonally dominant with margin ``b0 - 1``, so
+    Varah's bound (Linear Algebra Appl. 11, 1975) gives ``||J^-1||_inf <=
+    1 / (b0 - 1)``.  A correction ``delta`` whose CG residual ``r_lin``
+    obeys ``||r_lin||_2 <= tol / 2`` thus has ``||delta||_inf <= d = (res +
+    tol / 2) / (b0 - 1)``.  The cubic's expansion ends at third order, so
+    the next residual is ``-r_lin + 3 u delta^2 + delta^3`` and its
+    max-norm is at most ``tol / 2 + (3 u_max + d) d^2``.  True means that
+    bound is within ``tol``; only the rounding of the residual evaluation
+    can then make the next sweep miss.
+    """
+    d = (res + 0.5 * tol) / (b0 - 1.0)
+    return (3.0 * u_max + d) * d * d <= 0.5 * tol
+
+
 def nonlinear_solve(
     u0: np.ndarray,
     const: np.ndarray,
@@ -292,12 +317,10 @@ def nonlinear_solve(
     eps: float,
     cfg: NewtonConfig,
     trace: list[float] | None = None,
-    anchor: np.ndarray | None = None,
+    *,
+    anchor: np.ndarray,
 ) -> tuple[np.ndarray, int]:
     """Solve ``b0 (u - anchor) - eps^2 Lap u + u^3 - u = const`` from ``u0``.
-
-    ``anchor = None`` means the zero field, i.e. the plain equation
-    ``b0 u - eps^2 Lap u + u^3 - u = const``.
 
     The unknown is carried internally as the increment ``w = u - anchor``
     and the cubic is expanded about the anchor, so every ``w``-dependent
@@ -308,16 +331,27 @@ def nonlinear_solve(
 
     Returns the root and the number of Newton sweeps (residual evaluations);
     a start point already at the root counts as one sweep.  ``trace``, when
-    given, collects the residual max-norms.
+    given, collects the residual max-norms.  Convergence is decided by the
+    residual test ``||F||_inf <= tol`` alone.
 
-    Early corrections solve the linear system loosely and the tolerance
-    tightens with the square of the residual drop, so the quadratic tail of
-    the outer iteration is preserved at a fraction of the inner work; the
-    configured ``lin_rtol`` acts as the floor.  Each linear solve takes the
-    preconditioner :func:`spectral_pays` picks for its reaction range.
+    Each correction is solved inexactly (Eisenstat & Walker, SIAM J. Sci.
+    Comput. 17, 1996).  The relative forcing term tightens with the square
+    of the residual drop, so the quadratic tail of the outer iteration is
+    preserved at a fraction of the inner work; the configured ``lin_rtol``
+    is its floor.  Every CG call also stops at the absolute floor
+    ``tol / 2``: the linear part of the next residual is then below
+    ``tol / 2`` in the 2-norm, hence in the max norm, and solving further
+    buys nothing the residual test can see.  The finishing rule
+    (:func:`finishes`) goes one step further: when a correction solved to
+    that floor provably leaves a next residual within ``tol``, the CG call
+    stops at the floor alone, and the next sweep is expected to be the
+    last.  Should rounding make it miss, Newton runs one more sweep.  Each
+    linear solve takes the preconditioner :func:`spectral_pays` picks for
+    its reaction range.
 
     Everything but the returned root lives in the grid's :class:`Workspace`.
-    ``u0`` and ``const`` are read only before the first sweep.
+    ``u0`` and ``const`` are read only before the first sweep; ``anchor``
+    also on every sweep, to form the root ``anchor + w``.
     """
     h = grid.h
     e2 = eps * eps
@@ -329,24 +363,18 @@ def nonlinear_solve(
         np.divide(r, diag, out=out)
 
     # base residual at w = 0: everything that does not move with w
-    if anchor is None:
-        np.copyto(w, u0)
-        np.negative(const, out=base)
-        lin_coef = b0 - 1.0
-        cubic_shift = None
-    else:
-        np.subtract(u0, anchor, out=w)
-        laplacian_apply(anchor, h, out=lap, scratch=scratch)
-        np.multiply(anchor, anchor, out=base)
-        base -= 1.0
-        base *= anchor
-        lap *= e2
-        base -= lap
-        base -= const
-        # b0 - 1 + (3 a) a
-        cubic_shift = np.multiply(anchor, 3.0, out=ws.cubic_shift)
-        lin_coef = np.multiply(cubic_shift, anchor, out=ws.lin_coef)
-        lin_coef += b0 - 1.0
+    np.subtract(u0, anchor, out=w)
+    laplacian_apply(anchor, h, out=lap, scratch=scratch)
+    np.multiply(anchor, anchor, out=base)
+    base -= 1.0
+    base *= anchor
+    lap *= e2
+    base -= lap
+    base -= const
+    # b0 - 1 + (3 a) a
+    cubic_shift = np.multiply(anchor, 3.0, out=ws.cubic_shift)
+    lin_coef = np.multiply(cubic_shift, anchor, out=ws.lin_coef)
+    lin_coef += b0 - 1.0
     u = np.empty_like(u0, order="C")
     res_prev = None
     for sweep in range(1, cfg.max_iter + 1):
@@ -354,11 +382,8 @@ def nonlinear_solve(
         #   (b0 - 1 + 3 a^2) w + (3 a + w) w^2 - e2 Lap w + base
         laplacian_apply(w, h, out=lap, scratch=scratch)
         np.multiply(w, w, out=residual)
-        if cubic_shift is None:
-            residual *= w
-        else:
-            np.add(cubic_shift, w, out=scratch)
-            residual *= scratch
+        np.add(cubic_shift, w, out=scratch)
+        residual *= scratch
         np.multiply(lin_coef, w, out=scratch)
         residual += scratch
         np.multiply(lap, e2, out=scratch)
@@ -367,17 +392,15 @@ def nonlinear_solve(
         res_norm = max_norm(residual)
         if trace is not None:
             trace.append(res_norm)
-        if anchor is None:
-            u[...] = w
-        else:
-            np.add(anchor, w, out=u)
+        np.add(anchor, w, out=u)
         if res_norm <= cfg.tol:
             return u, sweep
-        if res_prev is None:
-            rtol_k = 1e-4
+        if finishes(res_norm, max_norm(u), b0, cfg.tol):
+            # the bound assumes the absolute stop, whatever lin_rtol asks
+            rtol_k = 0.0
         else:
-            rtol_k = 0.9 * (res_norm / res_prev) ** 2
-        rtol_k = max(cfg.lin_rtol, min(rtol_k, 1e-2))
+            rtol_k = 1e-4 if res_prev is None else 0.9 * (res_norm / res_prev) ** 2
+            rtol_k = max(cfg.lin_rtol, min(rtol_k, 1e-2))
         res_prev = res_norm
         np.multiply(u, u, out=react)
         react *= 3.0
@@ -390,7 +413,7 @@ def nonlinear_solve(
         np.negative(residual, out=residual)
         w += _pcg(
             react, e2, grid, residual, precond, rtol_k, cfg.lin_max_iter,
-            out=ws.delta,
+            out=ws.delta, atol=0.5 * cfg.tol,
         )
     raise NewtonDiverged(f"no convergence in {cfg.max_iter} Newton sweeps")
 

@@ -205,6 +205,29 @@ output.dir =
             not r.s0_ok for r in accepted
         )
 
+    def test_level_allocates_only_its_two_roots(self, monkeypatch):
+        # both solves, the error estimate and the energies work in reused
+        # fields, so a warmed level allocates the two candidates alone
+        marks = []
+        advance = runner.advance
+
+        def marked(*args, **kwargs):
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            return advance(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "advance", marked)
+        tracemalloc.start()
+        try:
+            res = run_text(self.TEXT + "domain.M = 64\n")
+        finally:
+            tracemalloc.stop()
+        assert res.summary["rejected_steps"] == 0
+        # a level runs from its start to the next one's; two warm up
+        excess = [peak - start for (start, _), (_, peak) in zip(marks[2:], marks[3:])]
+        assert len(excess) >= 5
+        assert max(excess) < 2.5 * 8 * 64 * 64
+
 
 class TestRandomMeshMarch:
     TEXT = """

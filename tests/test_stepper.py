@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from acbdf2 import stepper
 from acbdf2.experiments import MMS_EPS2, four_bubble_init, random_mesh
 from acbdf2.kernels import apply_bdf2, step_kernels
 from acbdf2.spatial import Grid2D, laplacian_apply, max_norm
@@ -127,7 +128,9 @@ class TestNonlinearSolve:
         grid = Grid2D(M=16, L=1.0)
         b0 = 2.0
         ones = np.ones((16, 16))
-        u, sweeps = nonlinear_solve(ones, b0 * ones, b0, grid, 0.05, self.CFG)
+        u, sweeps = nonlinear_solve(
+            ones, b0 * ones, b0, grid, 0.05, self.CFG, anchor=np.zeros_like(ones)
+        )
         np.testing.assert_array_equal(u, ones)
         assert sweeps == 1
 
@@ -135,20 +138,27 @@ class TestNonlinearSolve:
         # b0 u + u^3 - u = 9/8 at b0 = 3 has the exact root 1/2
         grid = Grid2D(M=8, L=1.0)
         const = np.full((8, 8), 1.125)
-        u, _ = nonlinear_solve(np.zeros((8, 8)), const, 3.0, grid, 0.05, self.CFG)
+        u0 = np.zeros((8, 8))
+        u, _ = nonlinear_solve(
+            u0, const, 3.0, grid, 0.05, self.CFG, anchor=np.zeros_like(u0)
+        )
         np.testing.assert_allclose(u, 0.5, rtol=0.0, atol=1e-12)
 
     def test_zero_is_the_only_root_without_forcing(self):
         grid = Grid2D(M=8, L=1.0)
         u0 = np.full((8, 8), 0.3)
-        u, _ = nonlinear_solve(u0, np.zeros((8, 8)), 4.0, grid, 0.05, self.CFG)
+        u, _ = nonlinear_solve(
+            u0, np.zeros((8, 8)), 4.0, grid, 0.05, self.CFG, anchor=np.zeros_like(u0)
+        )
         np.testing.assert_allclose(u, 0.0, rtol=0.0, atol=1e-12)
 
     def test_residual_below_tolerance_on_rough_data(self, rng):
         grid = Grid2D(M=32, L=1.0)
         const = rng.standard_normal((32, 32))
         u0 = rng.uniform(-1.0, 1.0, (32, 32))
-        u, _ = nonlinear_solve(u0, const, 5.0, grid, 0.1, self.CFG)
+        u, _ = nonlinear_solve(
+            u0, const, 5.0, grid, 0.1, self.CFG, anchor=np.zeros_like(u0)
+        )
         assert max_norm(residual_of(u, const, 5.0, grid, 0.1)) <= 1e-11
 
     def test_anchor_shifts_the_constant(self, rng):
@@ -160,8 +170,9 @@ class TestNonlinearSolve:
         ua, _ = nonlinear_solve(
             anchor.copy(), const, b0, grid, eps, self.CFG, anchor=anchor
         )
+        u0 = anchor.copy()
         up, _ = nonlinear_solve(
-            anchor.copy(), const + b0 * anchor, b0, grid, eps, self.CFG
+            u0, const + b0 * anchor, b0, grid, eps, self.CFG, anchor=np.zeros_like(u0)
         )
         np.testing.assert_allclose(ua, up, rtol=0.0, atol=1e-10)
 
@@ -181,14 +192,16 @@ class TestNonlinearSolve:
     def test_trace_records_every_sweep(self):
         grid = Grid2D(M=8, L=1.0)
         trace = []
+        u0 = np.zeros((8, 8))
         _, sweeps = nonlinear_solve(
-            np.zeros((8, 8)),
+            u0,
             np.full((8, 8), 1.125),
             3.0,
             grid,
             0.05,
             self.CFG,
             trace=trace,
+            anchor=np.zeros_like(u0),
         )
         assert len(trace) == sweeps
         assert trace[-1] <= self.CFG.tol
@@ -197,10 +210,129 @@ class TestNonlinearSolve:
     def test_raises_after_max_iter(self):
         grid = Grid2D(M=8, L=1.0)
         cfg = NewtonConfig(max_iter=1)
+        u0 = np.zeros((8, 8))
         with pytest.raises(NewtonDiverged, match="1 Newton sweeps"):
             nonlinear_solve(
-                np.zeros((8, 8)), np.full((8, 8), 1.125), 3.0, grid, 0.05, cfg
+                u0, np.full((8, 8), 1.125), 3.0, grid, 0.05, cfg,
+                anchor=np.zeros_like(u0),
             )
+
+
+class TestNewtonStops:
+    """Each CG call stops at ``newton.tol / 2``, and the finishing rule
+    (:func:`acbdf2.stepper.finishes`) ends the iteration one sweep later."""
+
+    E2 = 0.01
+
+    def system(self, rng):
+        grid = Grid2D(M=16, L=1.0)
+        u = rng.uniform(-1.0, 1.0, (16, 16))
+        react = 2.0 + 3.0 * u * u
+        diag = react + 4.0 * self.E2 / grid.h**2
+
+        def jacobi(r, out):
+            np.divide(r, diag, out=out)
+
+        return grid, react, jacobi, rng.standard_normal((16, 16))
+
+    @staticmethod
+    def iterations(solve):
+        """The fewest CG iterations with which ``solve(max_iter)`` returns."""
+        for n in range(1, 200):
+            try:
+                return n, solve(n)
+            except NewtonDiverged:
+                pass
+        raise AssertionError("CG did not converge")
+
+    def test_pcg_returns_at_the_absolute_stop(self, rng):
+        grid, react, jacobi, b = self.system(rng)
+        e2, atol = self.E2, 1e-6
+        n, x = self.iterations(
+            lambda k: _pcg(react, e2, grid, b, jacobi, 1e-14, k, atol=atol)
+        )
+        # the relative stop alone needs more iterations
+        with pytest.raises(NewtonDiverged):
+            _pcg(react, e2, grid, b, jacobi, 1e-14, n)
+        true_res = b - (react * x - e2 * laplacian_apply(x, grid.h))
+        assert max_norm(true_res) <= 1.001 * atol
+        assert np.sqrt(np.sum(true_res**2)) <= 1.001 * atol
+
+    def test_pcg_needs_no_iteration_below_the_absolute_stop(self, rng):
+        grid, react, jacobi, b = self.system(rng)
+        b *= 1e-9 / np.sqrt(np.sum(b * b))
+        x = _pcg(react, self.E2, grid, b, jacobi, 1e-14, 1, atol=1e-9)
+        np.testing.assert_array_equal(x, 0.0)
+
+    def test_every_cg_call_stops_at_half_the_tolerance(self, monkeypatch, rng):
+        stops = []
+        pcg = stepper._pcg
+
+        def recorded(*args, **kwargs):
+            stops.append(kwargs["atol"])
+            return pcg(*args, **kwargs)
+
+        monkeypatch.setattr(stepper, "_pcg", recorded)
+        cfg = NewtonConfig(tol=1e-9)
+        anchor = rng.uniform(-1.0, 1.0, (16, 16))
+        nonlinear_solve(
+            anchor, np.ones_like(anchor), 3.0, Grid2D(M=16, L=1.0), 0.05, cfg,
+            anchor=anchor,
+        )
+        assert stops and set(stops) == {0.5 * cfg.tol}
+
+    def test_uniform_march_takes_two_sweeps(self):
+        # four bubbles at tau = 1e-3: the finishing rule fires on the first
+        # sweep of every two-step level, so the second sweep converges
+        grid, eps, tau = Grid2D(M=32, L=2.0, origin=-1.0), 0.02, 1e-3
+        cfg, tight = NewtonConfig(), NewtonConfig(tol=1e-14)
+        state = StepperState(u_prev=four_bubble_init(grid, eps), u_prev2=None, n=0, t=0.0)
+        for _ in range(20):
+            u, sweeps = bdf2_step(state, tau, grid, eps, cfg=cfg)
+            ref, _ = bdf2_step(state, tau, grid, eps, cfg=tight)
+            if state.u_prev2 is not None:
+                assert sweeps == 2
+            assert max_norm(u - ref) <= 10.0 * cfg.tol
+            state = StepperState(
+                u_prev=u, u_prev2=state.u_prev, n=state.n + 1,
+                t=state.t + tau, tau_prev=tau,
+            )
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [NewtonConfig(), NewtonConfig(tol=1e-10, lin_rtol=1e-8)],
+        ids=["default", "loose"],
+    )
+    def test_rule_firing_means_the_next_sweep_converges(self, monkeypatch, cfg):
+        verdicts = []
+        rule = stepper.finishes
+
+        def recorded(*args):
+            verdicts.append(rule(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(stepper, "finishes", recorded)
+        fired = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            M = int(rng.integers(8, 33))
+            b0 = 1.0 + 10.0 ** rng.uniform(-1.0, 4.0)
+            eps = rng.uniform(0.005, 0.1)
+            grid = Grid2D(M=M, L=1.0)
+            anchor = rng.uniform(-1.0, 1.0, (M, M))
+            const = rng.uniform(-1.0, 1.0, (M, M))
+            trace = []
+            verdicts.clear()
+            _, sweeps = nonlinear_solve(
+                anchor, const, b0, grid, eps, cfg, trace=trace, anchor=anchor
+            )
+            # one verdict per sweep that missed the tolerance
+            assert len(verdicts) == sweeps - 1
+            if any(verdicts):
+                fired += 1
+                assert verdicts.index(True) == sweeps - 2
+                assert trace[-1] <= cfg.tol
+        assert fired >= 40
 
 
 class TestBdf2Step:
