@@ -20,7 +20,7 @@ So does a rejection whose next trial would be the same step, as at the
 floor ``tau_min``: the solve is deterministic and would fail again.
 
 The estimate uses the grid-weighted l2 norm by default; the max norm is
-available behind the ``error_norm`` switch.
+available behind the ``norm`` switch.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class AdaptiveConfig:
     tau_min: float = 1e-3
     ratio_cap: float | None = DEFAULT_RATIO_CAP
     max_rejects: int = 20
-    error_norm: str = "l2"
+    norm: str = "l2"
 
     def __post_init__(self) -> None:
         errs = self.problems()
@@ -84,8 +84,8 @@ class AdaptiveConfig:
             errs.append(f"{name('ratio_cap')} must be positive or off")
         if self.max_rejects < 1:
             errs.append(f"{name('max_rejects')} must be at least 1")
-        if self.error_norm not in ("l2", "max"):
-            errs.append(f"{name('error_norm')} must be 'l2' or 'max'")
+        if self.norm not in ("l2", "max"):
+            errs.append(f"{name('norm')} must be 'l2' or 'max'")
         return errs
 
 
@@ -161,16 +161,13 @@ def advance(
     ``tau_ada`` clamps back to ``tau_min``, and the identical solve would
     fail identically.
     """
-    if newton_cfg is None:
-        newton_cfg = NewtonConfig()
     rejected: list[StepRecord] = []
-    first = state.n == 0 or state.u_prev2 is None
     for _ in range(cfg.max_rejects + 1):
         u1, iters1 = bdf2_step(
             state, tau, grid, eps, source_at, newton_cfg,
             kernels=step_kernels(tau, 0.0),
         )
-        if first:
+        if state.u_prev2 is None:
             # both schemes coincide on the starting level
             u2, iters2 = u1, iters1
             ratio = 0.0
@@ -181,7 +178,7 @@ def advance(
                 state, tau, grid, eps, source_at, newton_cfg,
                 kernels=step_kernels(tau, ratio),
             )
-            e = error_estimate(u1, u2, grid.h, cfg.error_norm, workspace(grid).scratch)
+            e = error_estimate(u1, u2, grid.h, cfg.norm, workspace(grid).scratch)
         record = StepRecord(
             n=state.n + 1,
             t=state.t + tau,

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_config
 from .experiments import random_mesh
 from .kernels import (
+    bdf2_kernels,
     complementary_row,
     identity_residual,
     recombined_rows,
@@ -94,9 +96,9 @@ def _cmd_mms(args: argparse.Namespace) -> int:
         print("--m must be at least 2", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = "N,tau_max,err_inf,order,num_ratio_violations"
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         for seed in seeds:
             rows = mms_sweep(n_list, seed, M=args.m)
             lines = [header]
@@ -111,6 +113,9 @@ def _cmd_mms(args: argparse.Namespace) -> int:
     except (NewtonDiverged, SolvabilityViolated) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 
@@ -119,11 +124,14 @@ def _cmd_check_kernels(args: argparse.Namespace) -> int:
         print("--n must be at least 1", file=sys.stderr)
         return EXIT_CONFIG
     if args.uniform is not None:
-        if args.uniform <= 0:
-            print("--uniform step must be positive", file=sys.stderr)
+        if not 0.0 < args.uniform < math.inf:
+            print("--uniform step must be positive and finite", file=sys.stderr)
             return EXIT_CONFIG
         mesh = TimeMesh.uniform(args.uniform * args.n, args.n)
     else:
+        if not 0.0 < args.total_time < math.inf:
+            print("--total-time must be positive and finite", file=sys.stderr)
+            return EXIT_CONFIG
         mesh = random_mesh(args.n, args.total_time, args.seed)
     if args.eta is not None:
         eta = args.eta
@@ -137,15 +145,14 @@ def _cmd_check_kernels(args: argparse.Namespace) -> int:
     for n in range(1, mesh.n_steps + 1):
         d = d_rows[n - 1]
         q = complementary_row(d_rows, n)
-        b0 = d[0]
-        b1 = d[1] - eta * b0  # invert d_1 = b0 eta + b1
+        k = bdf2_kernels(mesh, n)
         for j in range(0, n + 1):
             q_j = _fmt(q[j]) if j < n else "nan"
             res = (
                 _fmt(identity_residual(d_rows, q, n, j)) if 1 <= j <= n else "nan"
             )
             lines.append(
-                f"{n},{j},{_fmt(b0)},{_fmt(b1)},{_fmt(d[j])},{q_j},{res}"
+                f"{n},{j},{_fmt(k.b0)},{_fmt(k.b1)},{_fmt(d[j])},{q_j},{res}"
             )
     text = "\n".join(lines) + "\n"
     if args.out == "-":

@@ -113,40 +113,40 @@ def _parse_cap(raw: str) -> float | None:
     return _parse_float(raw)
 
 
-# key -> (section attr, field attr, parser, human-readable type)
-_SCHEMA: dict[str, tuple[str, str, object, str]] = {
-    "domain.L": ("domain", "L", _parse_float, "float"),
-    "domain.M": ("domain", "M", _parse_int, "int"),
-    "domain.eps": ("domain", "eps", _parse_float, "float"),
-    "domain.origin": ("domain", "origin", _parse_float, "float"),
-    "time.T": ("time", "T", _parse_float, "float"),
-    "time.scheme": ("time", "scheme", str.strip, "string"),
-    "time.tau": ("time", "tau", _parse_float, "float"),
-    "time.n": ("time", "n", _parse_int, "int"),
-    "time.seed": ("time", "seed", _parse_int, "int"),
-    "adaptive.rho": ("adaptive", "rho", _parse_float, "float"),
-    "adaptive.tol": ("adaptive", "tol", _parse_float, "float"),
-    "adaptive.tau_max": ("adaptive", "tau_max", _parse_float, "float"),
-    "adaptive.tau_min": ("adaptive", "tau_min", _parse_float, "float"),
-    "adaptive.ratio_cap": ("adaptive", "ratio_cap", _parse_cap, "float or 'off'"),
-    "adaptive.max_rejects": ("adaptive", "max_rejects", _parse_int, "int"),
-    "adaptive.norm": ("adaptive", "error_norm", str.strip, "string"),
-    "init.kind": ("init", "kind", str.strip, "string"),
-    "init.base": ("init", "base", _parse_float, "float"),
-    "init.amp": ("init", "amp", _parse_float, "float"),
-    "init.seed": ("init", "seed", _parse_int, "int"),
-    "init.path": ("init", "path", str.strip, "string"),
-    "newton.tol": ("newton", "tol", _parse_float, "float"),
-    "newton.max_iter": ("newton", "max_iter", _parse_int, "int"),
-    "newton.lin_rtol": ("newton", "lin_rtol", _parse_float, "float"),
-    "constraints.s0": ("constraints", "s0", str.strip, "string"),
-    "constraints.s1": ("constraints", "s1", str.strip, "string"),
-    "constraints.energy_law": ("constraints", "energy_law", str.strip, "string"),
-    "constraints.max_principle": ("constraints", "max_principle", str.strip, "string"),
-    "output.dir": ("output", "dir", str.strip, "string"),
-    "output.snapshots": ("output", "snapshots", _parse_float_list, "float list"),
-    "output.csv": ("output", "csv", _parse_bool, "on/off"),
-    "output.snapshot_text": ("output", "snapshot_text", _parse_bool, "on/off"),
+# key "section.field" -> (parser, human-readable type)
+_SCHEMA: dict[str, tuple[object, str]] = {
+    "domain.L": (_parse_float, "float"),
+    "domain.M": (_parse_int, "int"),
+    "domain.eps": (_parse_float, "float"),
+    "domain.origin": (_parse_float, "float"),
+    "time.T": (_parse_float, "float"),
+    "time.scheme": (str.strip, "string"),
+    "time.tau": (_parse_float, "float"),
+    "time.n": (_parse_int, "int"),
+    "time.seed": (_parse_int, "int"),
+    "adaptive.rho": (_parse_float, "float"),
+    "adaptive.tol": (_parse_float, "float"),
+    "adaptive.tau_max": (_parse_float, "float"),
+    "adaptive.tau_min": (_parse_float, "float"),
+    "adaptive.ratio_cap": (_parse_cap, "float or 'off'"),
+    "adaptive.max_rejects": (_parse_int, "int"),
+    "adaptive.norm": (str.strip, "string"),
+    "init.kind": (str.strip, "string"),
+    "init.base": (_parse_float, "float"),
+    "init.amp": (_parse_float, "float"),
+    "init.seed": (_parse_int, "int"),
+    "init.path": (str.strip, "string"),
+    "newton.tol": (_parse_float, "float"),
+    "newton.max_iter": (_parse_int, "int"),
+    "newton.lin_rtol": (_parse_float, "float"),
+    "constraints.s0": (str.strip, "string"),
+    "constraints.s1": (str.strip, "string"),
+    "constraints.energy_law": (str.strip, "string"),
+    "constraints.max_principle": (str.strip, "string"),
+    "output.dir": (str.strip, "string"),
+    "output.snapshots": (_parse_float_list, "float list"),
+    "output.csv": (_parse_bool, "on/off"),
+    "output.snapshot_text": (_parse_bool, "on/off"),
 }
 
 _SCHEMES = ("uniform", "adaptive", "random-mesh")
@@ -172,7 +172,7 @@ def parse_config(text: str) -> RunConfig:
         if entry is None:
             errors.append(f"line {lineno}: unknown key '{key}'")
             continue
-        section, attr, parser, typename = entry
+        parser, typename = entry
         try:
             parsed = parser(value)
         except ValueError:
@@ -180,18 +180,13 @@ def parse_config(text: str) -> RunConfig:
                 f"line {lineno}: value '{value}' for '{key}' is not {typename}"
             )
             continue
+        section, _, attr = key.partition(".")
         setattr(getattr(cfg, section), attr, parsed)
         cfg.explicit_keys.add(key)
     errors.extend(_validate(cfg))
     if errors:
         raise ConfigError(errors)
     return cfg
-
-
-def _key_namer(section: str):
-    """Map a field of ``section`` to its config key, for error messages."""
-    keys = {attr: key for key, (sec, attr, _, _) in _SCHEMA.items() if sec == section}
-    return keys.__getitem__
 
 
 def _validate(cfg: RunConfig) -> list[str]:
@@ -210,7 +205,7 @@ def _validate(cfg: RunConfig) -> list[str]:
         errs.append("time.tau must be positive")
     if cfg.time.n < 1:
         errs.append("time.n must be at least 1")
-    errs.extend(cfg.adaptive.problems(_key_namer("adaptive")))
+    errs.extend(cfg.adaptive.problems("adaptive.{}".format))
     if cfg.init.kind not in _INIT_KINDS:
         errs.append(f"init.kind must be one of {', '.join(_INIT_KINDS)}")
     if cfg.init.amp < 0.0:
@@ -227,7 +222,7 @@ def _validate(cfg: RunConfig) -> list[str]:
                 "init.kind = mms fixes domain.eps to 1/sqrt(8 pi^2) "
                 f"(= {math.sqrt(MMS_EPS2):.17g})"
             )
-    errs.extend(cfg.newton.problems(_key_namer("newton")))
+    errs.extend(cfg.newton.problems("newton.{}".format))
     for name in ("s0", "s1", "energy_law", "max_principle"):
         if getattr(cfg.constraints, name) not in _POLICIES:
             errs.append(f"constraints.{name} must be one of {', '.join(_POLICIES)}")

@@ -24,6 +24,7 @@ produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -53,7 +54,6 @@ from .experiments import (
 from .kernels import run_eta
 from .spatial import Grid2D, max_norm, read_snapshot, write_snapshot, write_text_field
 from .stepper import (
-    NewtonConfig,
     StepRecord,
     StepperState,
     bdf2_step,
@@ -64,7 +64,8 @@ from .time_mesh import TimeMesh, constraint_flags
 
 log = logging.getLogger(__name__)
 
-CSV_HEADER = ",".join(StepRecord.FIELDS)
+CSV_FIELDS = tuple(f.name for f in dataclasses.fields(StepRecord))
+CSV_HEADER = ",".join(CSV_FIELDS)
 
 
 class ConstraintAbort(RuntimeError):
@@ -98,7 +99,7 @@ def _fmt(value) -> str:
 def write_steps_csv(path: Path, records: list[StepRecord]) -> None:
     lines = [CSV_HEADER]
     for rec in records:
-        lines.append(",".join(_fmt(getattr(rec, f)) for f in StepRecord.FIELDS))
+        lines.append(",".join(_fmt(getattr(rec, f)) for f in CSV_FIELDS))
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -309,18 +310,14 @@ class _Run:
         """Fold in every level the step source yields, then close the run."""
         self._maybe_snapshot(out_dir, 0.0, self.state.u_prev)
         levels = self._controller_levels() if self.mesh is None else self._mesh_levels()
-        try:
-            for u, rec, rejected, onestep_iters in levels:
-                for rej in rejected:
-                    self.monitors.evaluate(rej)
-                    self.records.append(rej)
-                self.onestep_iters += onestep_iters
-                self._accept(u, rec)
-                self._maybe_snapshot(out_dir, rec.t, u)
-            self._finalize_pending(0.0)
-        except ConstraintAbort as exc:
-            self.aborted = exc.name
-            raise
+        for u, rec, rejected, onestep_iters in levels:
+            for rej in rejected:
+                self.monitors.evaluate(rej)
+                self.records.append(rej)
+            self.onestep_iters += onestep_iters
+            self._accept(u, rec)
+            self._maybe_snapshot(out_dir, rec.t, u)
+        self._finalize_pending(0.0)
 
     # -- outputs ---------------------------------------------------------
 
@@ -351,14 +348,11 @@ class _Run:
             "solver_error": self.solver_error,
         }
 
-    def write_outputs(self, out_dir: Path | None) -> None:
-        if out_dir is None:
-            return
+    def write_outputs(self, out_dir: Path, summary: dict) -> None:
         if self.cfg.output.csv:
             write_steps_csv(out_dir / "steps.csv", self.records)
         (out_dir / "summary.json").write_text(
-            json.dumps(self.build_summary(), indent=2, sort_keys=True) + "\n",
-            encoding="ascii",
+            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="ascii"
         )
 
 
@@ -379,17 +373,19 @@ def run_simulation(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
         out_path.mkdir(parents=True, exist_ok=True)
     try:
         run.march(out_path)
-    except ConstraintAbort:
-        run.write_outputs(out_path)
+    except ConstraintAbort as exc:
+        run.aborted = exc.name
         raise
     except Exception as exc:
         run.solver_error = str(exc)
-        run.write_outputs(out_path)
         raise
-    run.write_outputs(out_path)
+    finally:
+        summary = run.build_summary()
+        if out_path is not None:
+            run.write_outputs(out_path, summary)
     return RunResult(
         records=run.records,
-        summary=run.build_summary(),
+        summary=summary,
         u_final=run.state.u_prev,
         grid=run.grid,
         err_inf=run.err_inf,
@@ -400,7 +396,6 @@ def mms_sweep(
     n_list: list[int],
     seed: int,
     M: int = 256,
-    newton_cfg: NewtonConfig | None = None,
 ) -> list[ConvergenceRow]:
     """Accuracy table over a list of step counts, one mesh per count.
 
@@ -419,7 +414,6 @@ def mms_sweep(
             domain=DomainConfig(L=MmsProblem.L, M=M, eps=MmsProblem.eps),
             time=TimeConfig(T=MmsProblem.T, scheme="random-mesh", n=n_steps, seed=seed),
             init=InitConfig(kind="mms"),
-            newton=newton_cfg if newton_cfg is not None else NewtonConfig(),
             constraints=ConstraintPolicy(s0="off", s1="off", energy_law="off", max_principle="off"),
             output=OutputConfig(dir=""),
         )

@@ -48,14 +48,17 @@ class SolvabilityViolated(ValueError):
     """Step size at or above the unique-solvability bound."""
 
 
+#: CG iterations after which a linear solve counts as stalled
+LIN_MAX_ITER = 2000
+
+
 @dataclass
 class NewtonConfig:
-    """Newton controls: residual max-norm tolerance, iteration caps."""
+    """Newton controls: residual max-norm tolerance, sweep cap, CG floor."""
 
     tol: float = 1e-12
     max_iter: int = 50
     lin_rtol: float = 1e-13
-    lin_max_iter: int = 2000
 
     def __post_init__(self) -> None:
         errs = self.problems()
@@ -70,8 +73,6 @@ class NewtonConfig:
             errs.append(f"{name('tol')} must be at least machine epsilon ({eps:.3g})")
         if self.max_iter < 1:
             errs.append(f"{name('max_iter')} must be at least 1")
-        if self.lin_max_iter < 1:
-            errs.append(f"{name('lin_max_iter')} must be at least 1")
         if not 0.0 < self.lin_rtol < 1.0:
             errs.append(f"{name('lin_rtol')} must lie in (0, 1)")
         return errs
@@ -108,11 +109,6 @@ class StepRecord:
     modified_energy: float = math.nan
     s0_ok: bool = False
     maxp_bound_ok: bool = False
-
-    FIELDS = (
-        "n", "t", "tau", "ratio", "e_est", "accepted", "newton_iters",
-        "max_norm", "energy", "modified_energy", "s0_ok", "maxp_bound_ok",
-    )
 
 
 class Workspace:
@@ -195,21 +191,19 @@ def spectral_pays(lo: float, hi: float, e2: float, h: float) -> bool:
     return math.sqrt((hi + 8.0 * e2 / (h * h)) / lo) > SPECTRAL_COST * math.sqrt(hi / lo)
 
 
-def spectral_preconditioner(grid: Grid2D, c: float, e2: float, inv=None):
+def spectral_preconditioner(grid: Grid2D, c: float, e2: float):
     """Exact inverse of ``c v - e2 Lap v`` by FFT, as ``apply(r, out)``.
 
     With ``c`` in the range of the reaction coefficient, the preconditioned
     operator's spectrum lies in ``[lo / c, hi / c]`` whatever the grid.
-    The inverse symbol goes into ``inv`` when given (the Newton sweep passes
-    its workspace's), else into a new array, so a preconditioner the caller
-    keeps is never overwritten by a later one.  The transforms run one axis
-    at a time through the grid workspace's two complex spectra, which hold
-    nothing between applications: fresh arrays on every application cost
-    about as much as the transforms at M = 256.
+    The inverse symbol goes into the grid workspace's ``inv``, so the
+    preconditioner holds until the next one built on the grid.  The
+    transforms run one axis at a time through the workspace's two complex
+    spectra, which hold nothing between applications: fresh arrays on every
+    application cost about as much as the transforms at M = 256.
     """
     ws = workspace(grid)
-    if inv is None:
-        inv = np.empty_like(ws.inv)
+    inv = ws.inv
     # real values stored complex: the product with the spectrum below then
     # runs complex by complex, as it would after a cast, with no cast copy
     re = inv.real
@@ -237,8 +231,9 @@ def _pcg(
     precond,
     rtol: float,
     max_iter: int,
-    out: np.ndarray | None = None,
-    atol: float = 0.0,
+    *,
+    out: np.ndarray,
+    atol: float,
 ) -> np.ndarray:
     """Preconditioned CG on ``react v - e2 Lap v = b``, zero guess.
 
@@ -248,15 +243,15 @@ def _pcg(
     recurrence residual meets ``||residual||_2 <= max(rtol ||b||_2, atol)``;
     the absolute stop ``atol`` keeps Newton from solving a correction far
     below what its next residual test can see.  The solution goes into
-    ``out`` when given, else into a new array.  The iteration runs in the
-    grid workspace's ``r``, ``z``, ``p``, ``ap``, ``lap`` and ``scratch``
-    and allocates nothing, per iteration or per call.
+    ``out``.  The iteration runs in the grid workspace's ``r``, ``z``,
+    ``p``, ``ap``, ``lap`` and ``scratch`` and allocates nothing, per
+    iteration or per call.
     """
     h = grid.h
     ws = workspace(grid)
     bf = b.ravel()
     b_norm = math.sqrt(float(np.dot(bf, bf)))
-    x = np.empty_like(b, order="C") if out is None else out
+    x = out
     x.fill(0.0)
     target = max(rtol * b_norm, atol)
     if b_norm <= target:
@@ -316,7 +311,6 @@ def nonlinear_solve(
     grid: Grid2D,
     eps: float,
     cfg: NewtonConfig,
-    trace: list[float] | None = None,
     *,
     anchor: np.ndarray,
 ) -> tuple[np.ndarray, int]:
@@ -330,9 +324,8 @@ def nonlinear_solve(
     increment moves it by a negligible amount.
 
     Returns the root and the number of Newton sweeps (residual evaluations);
-    a start point already at the root counts as one sweep.  ``trace``, when
-    given, collects the residual max-norms.  Convergence is decided by the
-    residual test ``||F||_inf <= tol`` alone.
+    a start point already at the root counts as one sweep.  Convergence is
+    decided by the residual test ``||F||_inf <= tol`` alone.
 
     Each correction is solved inexactly (Eisenstat & Walker, SIAM J. Sci.
     Comput. 17, 1996).  The relative forcing term tightens with the square
@@ -390,8 +383,6 @@ def nonlinear_solve(
         residual -= scratch
         residual += base
         res_norm = max_norm(residual)
-        if trace is not None:
-            trace.append(res_norm)
         np.add(anchor, w, out=u)
         if res_norm <= cfg.tol:
             return u, sweep
@@ -406,13 +397,13 @@ def nonlinear_solve(
         react *= 3.0
         react += b0 - 1.0
         if spectral_pays(b0 - 1.0, float(react.max()), e2, h):
-            precond = spectral_preconditioner(grid, b0 - 1.0, e2, inv=ws.inv)
+            precond = spectral_preconditioner(grid, b0 - 1.0, e2)
         else:
             np.add(react, 4.0 * e2 / (h * h), out=diag)
             precond = jacobi
         np.negative(residual, out=residual)
         w += _pcg(
-            react, e2, grid, residual, precond, rtol_k, cfg.lin_max_iter,
+            react, e2, grid, residual, precond, rtol_k, LIN_MAX_ITER,
             out=ws.delta, atol=0.5 * cfg.tol,
         )
     raise NewtonDiverged(f"no convergence in {cfg.max_iter} Newton sweeps")
@@ -426,12 +417,12 @@ def bdf2_step(
     source_at=None,
     cfg: NewtonConfig | None = None,
     kernels: Bdf2Kernels | None = None,
-    trace: list[float] | None = None,
 ) -> tuple[np.ndarray, int]:
     """Advance one level from ``state`` with step size ``tau``.
 
-    Uses the two-step weights implied by ``state.tau_prev`` (one-step on the
-    first level), or explicit ``kernels`` when the caller wants a specific
+    Uses the two-step weights implied by ``state.tau_prev`` when the state
+    holds two levels (``state.u_prev2`` is set), the one-step weights
+    otherwise, or explicit ``kernels`` when the caller wants a specific
     scheme, e.g. the one-step comparison solution of the adaptive
     controller.  ``source_at(t)`` must return the source field at time
     ``t``; it may return a buffer it reuses, as this call reads it at once.
@@ -444,10 +435,9 @@ def bdf2_step(
     """
     if cfg is None:
         cfg = NewtonConfig()
+    two_levels = state.u_prev2 is not None
     if kernels is None:
-        first = state.n == 0 or state.u_prev2 is None
-        ratio = 0.0 if first else tau / state.tau_prev
-        kernels = step_kernels(tau, ratio)
+        kernels = step_kernels(tau, tau / state.tau_prev if two_levels else 0.0)
     if not kernels.tau < solvability_bound(kernels.ratio):
         raise SolvabilityViolated(
             f"tau = {kernels.tau:g} at ratio {kernels.ratio:g} reaches the "
@@ -455,8 +445,7 @@ def bdf2_step(
         )
     ws = workspace(grid)
     const = ws.const
-    extrapolate = state.u_prev2 is not None and state.tau_prev > 0.0
-    if kernels.b1 != 0.0 or extrapolate:
+    if two_levels:
         # one history difference serves the constant and the start
         diff = np.subtract(state.u_prev, state.u_prev2, out=ws.start)
     if kernels.b1 != 0.0:
@@ -469,13 +458,11 @@ def bdf2_step(
     if source_at is not None:
         const += source_at(state.t + tau)
     u0 = state.u_prev
-    if extrapolate:
+    if two_levels:
         u0 = diff
         u0 *= tau / state.tau_prev
         u0 += state.u_prev
-    return nonlinear_solve(
-        u0, const, kernels.b0, grid, eps, cfg, trace, anchor=state.u_prev,
-    )
+    return nonlinear_solve(u0, const, kernels.b0, grid, eps, cfg, anchor=state.u_prev)
 
 
 def energy(u: np.ndarray, grid: Grid2D, eps: float) -> float:

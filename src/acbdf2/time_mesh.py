@@ -105,18 +105,6 @@ class TimeMesh:
         steps = tau1 * np.concatenate(([1.0], np.cumprod(ratios)))
         return cls(steps)
 
-    def save_text(self, path: str) -> None:
-        """One step size per line, full double precision."""
-        with open(path, "w", encoding="ascii") as fh:
-            for tau in self.steps:
-                fh.write(format(tau, ".17g") + "\n")
-
-    @classmethod
-    def load_text(cls, path: str) -> "TimeMesh":
-        with open(path, "r", encoding="ascii") as fh:
-            vals = [float(line) for line in fh if line.strip()]
-        return cls(np.asarray(vals))
-
 
 def solvability_bound(ratio):
     """Largest step size with a unique nonlinear solution: ``(1+2r)/(1+r)``.

@@ -77,7 +77,7 @@ class TestAdaptiveConfig:
             {"tau_min": 0.2, "tau_max": 0.1},
             {"ratio_cap": -1.0},
             {"max_rejects": 0},
-            {"error_norm": "l1"},
+            {"norm": "l1"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -12,6 +12,8 @@ from acbdf2.cli import (
     EXIT_SOLVER,
     main,
 )
+from acbdf2.experiments import random_mesh
+from acbdf2.kernels import step_kernels
 
 QUICK = """
 domain.L = 1.0
@@ -128,6 +130,16 @@ class TestMmsCommand:
         assert main(["mms", "--n-list", "4;8"]) == EXIT_CONFIG
         assert main(["mms", "--n-list", "0"]) == EXIT_CONFIG
 
+    def test_unwritable_output(self, tmp_path, capsys):
+        args = ["mms", "--n-list", "2", "--seeds", "0", "--m", "8"]
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        # the directory cannot be made, or its table cannot be written
+        assert main(args + ["--out", str(blocker / "x")]) == EXIT_CONFIG
+        (tmp_path / "out" / "convergence_seed0.csv").mkdir(parents=True)
+        assert main(args + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.count("cannot write output") == 2
+
     def test_bad_grid_size(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(
@@ -171,3 +183,28 @@ class TestCheckKernelsCommand:
         assert main(["check-kernels", "--n", "0"]) == EXIT_CONFIG
         assert main(["check-kernels", "--eta", "1.5"]) == EXIT_CONFIG
         assert main(["check-kernels", "--uniform", "-1.0"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--total-time", "0"],
+            ["--total-time", "-1"],
+            ["--total-time", "nan"],
+            ["--total-time", "inf"],
+            ["--uniform", "nan"],
+            ["--uniform", "inf"],
+        ],
+    )
+    def test_rejects_a_mesh_that_is_not_positive_and_finite(self, flags, capsys):
+        assert main(["check-kernels"] + flags) == EXIT_CONFIG
+        assert "must be positive and finite" in capsys.readouterr().err
+
+    def test_weights_are_the_kernels_bit_for_bit(self, capsys):
+        assert main(["check-kernels"]) == EXIT_OK
+        mesh = random_mesh(12, 1.0, 0)  # the default flags' mesh
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == sum(n + 1 for n in range(1, 13))
+        for row in rows:
+            n, _, b0, b1 = row.split(",")[:4]
+            k = step_kernels(mesh.tau(int(n)), mesh.ratio(int(n)))
+            assert (float(b0), float(b1)) == (k.b0, k.b1), row

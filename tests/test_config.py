@@ -1,14 +1,28 @@
 """Config parsing, validation, and the shipped sample files."""
 
+import dataclasses
 import math
 from pathlib import Path
 
 import pytest
 
-from acbdf2.config import ConfigError, parse_config
+from acbdf2.config import _SCHEMA, ConfigError, RunConfig, parse_config
 from acbdf2.experiments import MMS_EPS2
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+SECTIONS = [f.name for f in dataclasses.fields(RunConfig) if f.name != "explicit_keys"]
+
+
+class TestSchema:
+    @pytest.mark.parametrize("section", SECTIONS)
+    def test_section_fields_are_exactly_its_keys(self, section):
+        # every setting of a section is a config key and every key a setting
+        fields = dataclasses.fields(getattr(RunConfig(), section))
+        keys = {key for key in _SCHEMA if key.partition(".")[0] == section}
+        assert {f"{section}.{f.name}" for f in fields} == keys
+
+    def test_every_key_names_a_section(self):
+        assert {key.partition(".")[0] for key in _SCHEMA} == set(SECTIONS)
 
 
 class TestParsing:

@@ -88,13 +88,6 @@ class TestTimeMesh:
         with pytest.raises(ValueError):
             mesh.steps[0] = 1.0
 
-    def test_text_round_trip_is_exact(self, tmp_path, rng):
-        mesh = TimeMesh(rng.uniform(0.01, 1.0, 37))
-        path = str(tmp_path / "mesh.txt")
-        mesh.save_text(path)
-        again = TimeMesh.load_text(path)
-        np.testing.assert_array_equal(again.steps, mesh.steps)
-
 
 class TestStabilityWindows:
     def test_s0_window(self):
