@@ -21,12 +21,32 @@ floor ``tau_min``: the solve is deterministic and would fail again.
 
 The estimate uses the grid-weighted l2 norm by default; the max norm is
 available behind the ``norm`` switch.
+
+The two-step candidate ``u2`` is the level that gets accepted, so it is
+solved to ``newton.tol`` like every other level.  The one-step comparison
+``u1`` is only read through ``e``, so it is solved no more accurately than
+``e`` can resolve: to the residual tolerance
+
+    tol1 = max(newton.tol, KAPPA * tol * (b0 - 1) * ||u2|| / s)
+
+with ``b0 = 1 / tau`` its weight, ``||u2||`` the estimate's own
+denominator and ``s = L`` for the l2 norm (the grid-weighted l2 norm is at
+most ``L`` times the max norm), ``s = 1`` for the max norm.  Between the
+loose root ``u'`` and the exact root ``u`` the secant Jacobian
+``diag(b0 - 1 + u'^2 + u' u + u^2) - eps^2 Lap`` is strictly diagonally
+dominant with margin ``b0 - 1``, so Varah's bound (Linear Algebra Appl.
+11, 1975) gives ``||u' - u||_inf <= tol1 / (b0 - 1)``.  Where the second
+term sets ``tol1``, ``e`` thus stays within ``KAPPA * tol`` of its
+exact-solve value: 1e-7 at the default ``tol``.  Where ``newton.tol``
+does, the comparison is solved as tightly as the accepted level.  On the
+first level both schemes coincide and the single solve keeps
+``newton.tol``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +57,9 @@ from .time_mesh import RATIO_CEILING
 
 #: default ratio cap, just inside the zero-stability window
 DEFAULT_RATIO_CAP = RATIO_CEILING
+
+#: the share of ``tol`` by which the loose comparison solve may move ``e``
+KAPPA = 1e-3
 
 
 class TooManyRejects(RuntimeError):
@@ -89,30 +112,41 @@ class AdaptiveConfig:
         return errs
 
 
+def solution_norm(u: np.ndarray, h: float, norm: str, scratch: np.ndarray) -> float:
+    """``u`` in the estimate's norm; the l2 squares go into ``scratch``."""
+    if norm == "l2":
+        return l2_norm(u, h, scratch)
+    if norm == "max":
+        return max_norm(u)
+    raise ValueError("error norm must be 'l2' or 'max'")
+
+
 def error_estimate(
-    u1: np.ndarray,
-    u2: np.ndarray,
-    h: float,
-    norm: str = "l2",
-    scratch: np.ndarray | None = None,
+    u1: np.ndarray, u2: np.ndarray, h: float, norm: str, scratch: np.ndarray
 ) -> float:
     """Relative distance of the two candidate solutions.
 
-    The difference and the squares go into ``scratch`` when given, else
-    into new arrays; :func:`advance` passes its grid workspace's.
+    The difference and its squares go into ``scratch``; :func:`advance`
+    passes its grid workspace's.
     """
-    if norm == "l2":
-        ref = l2_norm(u2, h, scratch)
-        d = np.subtract(u2, u1, out=scratch)
-        diff = l2_norm(d, h, d)
-    elif norm == "max":
-        ref = max_norm(u2)
-        diff = max_norm(np.subtract(u2, u1, out=scratch))
-    else:
-        raise ValueError("error norm must be 'l2' or 'max'")
+    ref = solution_norm(u2, h, norm, scratch)
     if ref == 0.0:
         raise ZeroReference("reference solution vanishes")
-    return diff / ref
+    return solution_norm(np.subtract(u2, u1, out=scratch), h, norm, scratch) / ref
+
+
+def comparison_tol(
+    u2: np.ndarray, b0: float, grid: Grid2D, cfg: AdaptiveConfig, newton_tol: float,
+    scratch: np.ndarray,
+) -> float:
+    """Residual tolerance of the one-step comparison; see the module docstring.
+
+    ``b0`` is the comparison's weight ``1 / tau``; ``newton_tol`` stays the
+    floor.
+    """
+    s = grid.L if cfg.norm == "l2" else 1.0
+    ref = solution_norm(u2, grid.h, cfg.norm, scratch)
+    return max(newton_tol, KAPPA * cfg.tol * (b0 - 1.0) * ref / s)
 
 
 def tau_ada(e: float, tau_cur: float, cfg: AdaptiveConfig) -> float:
@@ -145,7 +179,7 @@ def advance(
     grid: Grid2D,
     eps: float,
     cfg: AdaptiveConfig,
-    newton_cfg: NewtonConfig | None = None,
+    newton_cfg: NewtonConfig,
     source_at=None,
 ) -> AdvanceResult:
     """Compute the next accepted level starting from trial step ``tau``.
@@ -162,23 +196,23 @@ def advance(
     fail identically.
     """
     rejected: list[StepRecord] = []
+    scratch = workspace(grid).scratch
     for _ in range(cfg.max_rejects + 1):
-        u1, iters1 = bdf2_step(
-            state, tau, grid, eps, source_at, newton_cfg,
-            kernels=step_kernels(tau, 0.0),
-        )
+        u2, iters2 = bdf2_step(state, tau, grid, eps, source_at, newton_cfg)
         if state.u_prev2 is None:
             # both schemes coincide on the starting level
-            u2, iters2 = u1, iters1
+            iters1 = iters2
             ratio = 0.0
             e = 0.0
         else:
             ratio = tau / state.tau_prev
-            u2, iters2 = bdf2_step(
-                state, tau, grid, eps, source_at, newton_cfg,
-                kernels=step_kernels(tau, ratio),
+            one_step = step_kernels(tau, 0.0)
+            tol1 = comparison_tol(u2, one_step.b0, grid, cfg, newton_cfg.tol, scratch)
+            u1, iters1 = bdf2_step(
+                state, tau, grid, eps, source_at, replace(newton_cfg, tol=tol1),
+                kernels=one_step,
             )
-            e = error_estimate(u1, u2, grid.h, cfg.norm, workspace(grid).scratch)
+            e = error_estimate(u1, u2, grid.h, cfg.norm, scratch)
         record = StepRecord(
             n=state.n + 1,
             t=state.t + tau,

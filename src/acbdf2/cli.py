@@ -127,7 +127,11 @@ def _cmd_check_kernels(args: argparse.Namespace) -> int:
         if not 0.0 < args.uniform < math.inf:
             print("--uniform step must be positive and finite", file=sys.stderr)
             return EXIT_CONFIG
-        mesh = TimeMesh.uniform(args.uniform * args.n, args.n)
+        horizon = args.uniform * args.n
+        if not horizon < math.inf:
+            print("--uniform step times --n must be finite", file=sys.stderr)
+            return EXIT_CONFIG
+        mesh = TimeMesh.uniform(horizon, args.n)
     else:
         if not 0.0 < args.total_time < math.inf:
             print("--total-time must be positive and finite", file=sys.stderr)
@@ -158,7 +162,11 @@ def _cmd_check_kernels(args: argparse.Namespace) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text, encoding="ascii")
+        try:
+            Path(args.out).write_text(text, encoding="ascii")
+        except OSError as exc:
+            print(f"cannot write output: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -1,6 +1,7 @@
 """Error estimator and the accept/shrink/grow controller."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +13,18 @@ from acbdf2.adaptive import (
     TooManyRejects,
     ZeroReference,
     advance,
+    comparison_tol,
     error_estimate,
     tau_ada,
 )
+from acbdf2.config import parse_config
+from acbdf2.kernels import step_kernels
+from acbdf2.runner import run_simulation
 from acbdf2.spatial import Grid2D
-from acbdf2.stepper import StepperState
+from acbdf2.stepper import NewtonConfig, StepperState, bdf2_step
 from acbdf2.time_mesh import S0_LIMIT
+
+NEWTON = NewtonConfig()
 
 
 class TestErrorEstimate:
@@ -25,20 +32,26 @@ class TestErrorEstimate:
         u2 = np.full((4, 4), 2.0)
         u1 = np.ones((4, 4))
         for h in (0.1, 0.25):
-            assert error_estimate(u1, u2, h, "l2") == pytest.approx(0.5, rel=1e-15)
+            e = error_estimate(u1, u2, h, "l2", np.empty((4, 4)))
+            assert e == pytest.approx(0.5, rel=1e-15)
 
     def test_max_norm_variant(self):
         u2 = np.array([[4.0, 0.0], [0.0, 0.0]])
         u1 = np.array([[4.0, 1.0], [0.0, 0.0]])
-        assert error_estimate(u1, u2, 0.5, "max") == pytest.approx(0.25, rel=1e-15)
+        e = error_estimate(u1, u2, 0.5, "max", np.empty((2, 2)))
+        assert e == pytest.approx(0.25, rel=1e-15)
 
     def test_zero_reference_raises(self):
         with pytest.raises(ZeroReference):
-            error_estimate(np.ones((2, 2)), np.zeros((2, 2)), 0.5)
+            error_estimate(
+                np.ones((2, 2)), np.zeros((2, 2)), 0.5, "l2", np.empty((2, 2))
+            )
 
     def test_unknown_norm_raises(self):
         with pytest.raises(ValueError):
-            error_estimate(np.ones((2, 2)), np.ones((2, 2)), 0.5, "l1")
+            error_estimate(
+                np.ones((2, 2)), np.ones((2, 2)), 0.5, "l1", np.empty((2, 2))
+            )
 
 
 class TestTauAda:
@@ -98,7 +111,7 @@ class TestAdvance:
         tau = cfg.tau_min
         taus, rejects = [], 0
         for _ in range(n_levels):
-            res = advance(state, tau, self.GRID, self.EPS, cfg)
+            res = advance(state, tau, self.GRID, self.EPS, cfg, NEWTON)
             rejects += len(res.rejected)
             taus.append(res.record.tau)
             state = StepperState(
@@ -116,7 +129,7 @@ class TestAdvance:
         state = StepperState(
             u_prev=np.full((8, 8), 0.9), u_prev2=None, n=0, t=0.0
         )
-        res = advance(state, 1e-3, self.GRID, self.EPS, cfg)
+        res = advance(state, 1e-3, self.GRID, self.EPS, cfg, NEWTON)
         rec = res.record
         assert rec.e_est == 0.0
         assert rec.accepted
@@ -131,7 +144,7 @@ class TestAdvance:
         state = StepperState(
             u_prev=np.full((8, 8), 0.9), u_prev2=None, n=0, t=0.0
         )
-        res = advance(state, 1e-3, self.GRID, self.EPS, cfg)
+        res = advance(state, 1e-3, self.GRID, self.EPS, cfg, NEWTON)
         # e = 0 asks for tau_max; the cap cuts that to 2 tau
         assert res.tau_next == pytest.approx(2e-3, rel=1e-14)
 
@@ -140,7 +153,7 @@ class TestAdvance:
         state = StepperState(
             u_prev=np.full((8, 8), 0.9), u_prev2=None, n=0, t=0.0
         )
-        res = advance(state, 1e-3, self.GRID, self.EPS, cfg)
+        res = advance(state, 1e-3, self.GRID, self.EPS, cfg, NEWTON)
         assert res.tau_next == cfg.tau_max
 
     def test_relaxation_run_grows_to_tau_max(self):
@@ -160,7 +173,7 @@ class TestAdvance:
         u0 = 0.5 * rng.uniform(-1.0, 1.0, (8, 8))
         copy = u0.copy()
         state = StepperState(u_prev=u0, u_prev2=None, n=0, t=0.0)
-        advance(state, 1e-3, self.GRID, self.EPS, cfg)
+        advance(state, 1e-3, self.GRID, self.EPS, cfg, NEWTON)
         np.testing.assert_array_equal(state.u_prev, copy)
         assert state.n == 0
 
@@ -175,7 +188,7 @@ class TestAdvance:
         # acceptance is e < tol, so any e >= tol must reject
         state = self.two_level_state(rng)
         cfg = AdaptiveConfig(tol=1e-3)
-        res = advance(state, 0.01, self.GRID, self.EPS, cfg)
+        res = advance(state, 0.01, self.GRID, self.EPS, cfg, NEWTON)
         assert res.record.accepted
         assert res.record.e_est < cfg.tol
         for rec in res.rejected:
@@ -187,7 +200,7 @@ class TestAdvance:
         state = self.two_level_state(rng)
         cfg = AdaptiveConfig(tol=1e-15, max_rejects=2, tau_min=1e-4, tau_max=0.1)
         with pytest.raises(TooManyRejects, match="rejected 2 times"):
-            advance(state, 0.01, self.GRID, self.EPS, cfg)
+            advance(state, 0.01, self.GRID, self.EPS, cfg, NEWTON)
 
     def count_steps(self, monkeypatch):
         calls = []
@@ -207,7 +220,7 @@ class TestAdvance:
         state = self.two_level_state(rng)
         cfg = AdaptiveConfig(tol=1e-15, max_rejects=20, tau_min=1e-3)
         with pytest.raises(TooManyRejects, match="rejected 1 times"):
-            advance(state, cfg.tau_min, self.GRID, self.EPS, cfg)
+            advance(state, cfg.tau_min, self.GRID, self.EPS, cfg, NEWTON)
         assert calls == [cfg.tau_min, cfg.tau_min]
 
     def test_reject_budget_still_applies_above_the_floor(self, rng, monkeypatch):
@@ -218,7 +231,7 @@ class TestAdvance:
         state = self.two_level_state(rng)
         cfg = AdaptiveConfig(tol=1e-2, max_rejects=2, tau_min=1e-12)
         with pytest.raises(TooManyRejects, match="rejected 3 times"):
-            advance(state, 0.01, self.GRID, self.EPS, cfg)
+            advance(state, 0.01, self.GRID, self.EPS, cfg, NEWTON)
         assert len(calls) == 6
         assert calls[::2] == calls[1::2]
         assert calls[0] > calls[2] > calls[4] > cfg.tau_min
@@ -226,8 +239,99 @@ class TestAdvance:
     def test_rejection_records_carry_the_trial_sizes(self, rng):
         state = self.two_level_state(rng)
         cfg = AdaptiveConfig(tol=5e-7, max_rejects=10, tau_min=1e-5)
-        res = advance(state, 0.02, self.GRID, self.EPS, cfg)
+        res = advance(state, 0.02, self.GRID, self.EPS, cfg, NEWTON)
         assert len(res.rejected) >= 1
         sizes = [rec.tau for rec in res.rejected] + [res.record.tau]
         assert sizes == sorted(sizes, reverse=True)
         assert res.record.accepted
+
+
+class _FirstEstimate(Exception):
+    """Stops :func:`advance` once its first trial has an estimate."""
+
+
+class TestComparisonSolve:
+    """The backward-Euler comparison is solved only as well as ``e`` reads it."""
+
+    def two_level_state(self, rng, grid, tau):
+        x, y = grid.meshgrid()
+        k = 2.0 * math.pi / grid.L
+        u0 = rng.uniform(0.1, 0.9) * np.sin(k * x) * np.cos(k * y)
+        u0 += 0.1 * rng.uniform(-1.0, 1.0, u0.shape)
+        u1 = u0 + 0.5 * tau * (u0 - u0**3) + 1e-3 * rng.uniform(-1.0, 1.0, u0.shape)
+        tau_prev = tau / rng.uniform(0.5, 2.0)
+        return StepperState(u_prev=u1, u_prev2=u0, n=2, t=0.1, tau_prev=tau_prev)
+
+    def test_accepted_level_is_the_plain_two_step_solve(self, rng):
+        grid = Grid2D(M=16, L=1.0)
+        state = self.two_level_state(rng, grid, 0.01)
+        res = advance(state, 0.01, grid, 0.05, AdaptiveConfig(tol=1e-2), NEWTON)
+        assert res.rejected == []
+        u2, iters2 = bdf2_step(state, 0.01, grid, 0.05, None, NEWTON)
+        np.testing.assert_array_equal(res.u, u2)
+        assert res.record.newton_iters == iters2
+
+    def test_loose_comparison_moves_the_estimate_by_at_most_1e_3_tol(
+        self, rng, monkeypatch
+    ):
+        estimate = adaptive.error_estimate
+        seen = []
+
+        def first_estimate(*args):
+            seen.append(estimate(*args))
+            raise _FirstEstimate
+
+        monkeypatch.setattr(adaptive, "error_estimate", first_estimate)
+        for draw in range(40):
+            seen.clear()
+            M = int(rng.choice([8, 16, 32]))
+            grid = Grid2D(M=M, L=float(rng.choice([1.0, 6.0])))
+            norm = ("l2", "max")[draw % 2]
+            # b0 - 1 = 1 / tau - 1 from about 1 to 1e3
+            tau = 1.0 / (1.0 + 10.0 ** rng.uniform(0.0, 3.0))
+            eps = 10.0 ** rng.uniform(-2.0, -0.5)
+            cfg = AdaptiveConfig(tol=10.0 ** rng.uniform(-5.0, -2.0), norm=norm)
+            state = self.two_level_state(rng, grid, tau)
+            with pytest.raises(_FirstEstimate):
+                advance(state, tau, grid, eps, cfg, NEWTON)
+            u2, _ = bdf2_step(state, tau, grid, eps, None, NEWTON)
+            u1, _ = bdf2_step(
+                state, tau, grid, eps, None, NEWTON, kernels=step_kernels(tau, 0.0)
+            )
+            scratch = np.empty_like(u2)
+            # the draw really loosens the comparison solve
+            assert comparison_tol(u2, 1.0 / tau, grid, cfg, NEWTON.tol, scratch) > (
+                1e3 * NEWTON.tol
+            )
+            e_tight = estimate(u1, u2, grid.h, norm, scratch)
+            assert abs(seen[0] - e_tight) <= 1e-3 * cfg.tol, (draw, norm, tau)
+
+    def test_march_spends_fewer_comparison_sweeps(self, monkeypatch):
+        # every comparison solve of a short M = 64 four-bubble march, against
+        # the same solve at newton.tol from the same state
+        step = adaptive.bdf2_step
+        loose, tight = [], []
+
+        def counted(state, tau, *args, **kwargs):
+            u, iters = step(state, tau, *args, **kwargs)
+            kernels = kwargs.get("kernels")
+            one_step = kernels is not None and kernels.ratio == 0.0
+            if one_step and state.u_prev2 is not None:
+                grid, eps, source_at, _ = args
+                loose.append(iters)
+                tight.append(
+                    step(state, tau, grid, eps, source_at, NEWTON, kernels=kernels)[1]
+                )
+            return u, iters
+
+        monkeypatch.setattr(adaptive, "bdf2_step", counted)
+        conf = Path(__file__).resolve().parent.parent / "configs"
+        text = (conf / "four_bubble_adaptive.conf").read_text()
+        res = run_simulation(
+            parse_config(
+                text + "domain.M = 64\ntime.T = 0.5\noutput.dir =\noutput.snapshots =\n"
+            )
+        )
+        assert res.summary["rejected_steps"] == 0
+        assert len(loose) == res.summary["total_steps"] - 1
+        assert sum(loose) < sum(tight)

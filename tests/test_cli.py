@@ -199,6 +199,17 @@ class TestCheckKernelsCommand:
         assert main(["check-kernels"] + flags) == EXIT_CONFIG
         assert "must be positive and finite" in capsys.readouterr().err
 
+    def test_rejects_a_horizon_that_overflows(self, capsys):
+        # each flag is finite, but uniform * n is not
+        assert main(["check-kernels", "--uniform", "1e308"]) == EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["check-kernels", "--out", str(blocker / "x")]) == EXIT_CONFIG
+        assert "cannot write output" in capsys.readouterr().err
+
     def test_weights_are_the_kernels_bit_for_bit(self, capsys):
         assert main(["check-kernels"]) == EXIT_OK
         mesh = random_mesh(12, 1.0, 0)  # the default flags' mesh
