@@ -122,30 +122,28 @@ def solution_norm(u: np.ndarray, h: float, norm: str, scratch: np.ndarray) -> fl
 
 
 def error_estimate(
-    u1: np.ndarray, u2: np.ndarray, h: float, norm: str, scratch: np.ndarray
+    u1: np.ndarray, u2: np.ndarray, ref: float, h: float, norm: str, scratch: np.ndarray
 ) -> float:
     """Relative distance of the two candidate solutions.
 
-    The difference and its squares go into ``scratch``; :func:`advance`
-    passes its grid workspace's.
+    ``ref`` is ``solution_norm(u2)``, which :func:`advance` also reads for
+    :func:`comparison_tol`.  The difference and its squares go into
+    ``scratch``; :func:`advance` passes its grid workspace's.
     """
-    ref = solution_norm(u2, h, norm, scratch)
     if ref == 0.0:
         raise ZeroReference("reference solution vanishes")
     return solution_norm(np.subtract(u2, u1, out=scratch), h, norm, scratch) / ref
 
 
 def comparison_tol(
-    u2: np.ndarray, b0: float, grid: Grid2D, cfg: AdaptiveConfig, newton_tol: float,
-    scratch: np.ndarray,
+    ref: float, b0: float, grid: Grid2D, cfg: AdaptiveConfig, newton_tol: float
 ) -> float:
     """Residual tolerance of the one-step comparison; see the module docstring.
 
-    ``b0`` is the comparison's weight ``1 / tau``; ``newton_tol`` stays the
-    floor.
+    ``ref`` is ``||u2||`` in the estimate's norm, ``b0`` the comparison's
+    weight ``1 / tau``; ``newton_tol`` stays the floor.
     """
     s = grid.L if cfg.norm == "l2" else 1.0
-    ref = solution_norm(u2, grid.h, cfg.norm, scratch)
     return max(newton_tol, KAPPA * cfg.tol * (b0 - 1.0) * ref / s)
 
 
@@ -181,9 +179,13 @@ def advance(
     cfg: AdaptiveConfig,
     newton_cfg: NewtonConfig,
     source_at=None,
+    *,
+    anchor_lap: np.ndarray,
 ) -> AdvanceResult:
     """Compute the next accepted level starting from trial step ``tau``.
 
+    ``anchor_lap`` must hold ``laplacian_apply(state.u_prev)``; every solve
+    of every trial reads it, as all of them start from ``state.u_prev``.
     Does not mutate ``state``; the caller folds the result in.  Records for
     rejected trials carry the candidate's diagnostics with
     ``accepted=False``; the run loop fills the energies and constraint
@@ -198,7 +200,9 @@ def advance(
     rejected: list[StepRecord] = []
     scratch = workspace(grid).scratch
     for _ in range(cfg.max_rejects + 1):
-        u2, iters2 = bdf2_step(state, tau, grid, eps, source_at, newton_cfg)
+        u2, iters2 = bdf2_step(
+            state, tau, grid, eps, source_at, newton_cfg, anchor_lap=anchor_lap
+        )
         if state.u_prev2 is None:
             # both schemes coincide on the starting level
             iters1 = iters2
@@ -207,12 +211,13 @@ def advance(
         else:
             ratio = tau / state.tau_prev
             one_step = step_kernels(tau, 0.0)
-            tol1 = comparison_tol(u2, one_step.b0, grid, cfg, newton_cfg.tol, scratch)
+            ref = solution_norm(u2, grid.h, cfg.norm, scratch)
+            tol1 = comparison_tol(ref, one_step.b0, grid, cfg, newton_cfg.tol)
             u1, iters1 = bdf2_step(
                 state, tau, grid, eps, source_at, replace(newton_cfg, tol=tol1),
-                kernels=one_step,
+                anchor_lap=anchor_lap, kernels=one_step,
             )
-            e = error_estimate(u1, u2, grid.h, cfg.norm, scratch)
+            e = error_estimate(u1, u2, ref, grid.h, cfg.norm, scratch)
         record = StepRecord(
             n=state.n + 1,
             t=state.t + tau,

@@ -170,7 +170,10 @@ class _Run:
         self.state = StepperState(u_prev=u0, u_prev2=None, n=0, t=0.0, tau_prev=0.0)
         # record awaiting its modified-energy finalization
         self.pending: StepRecord | None = None
-        self.energy_initial = energy(u0, self.grid, self.eps)
+        # Laplacian of the current anchor state.u_prev: energy() leaves it
+        # here at setup and at every acceptance, and every solve reads it
+        self.anchor_lap = np.empty_like(u0)
+        self.energy_initial = energy(u0, self.grid, self.eps, self.anchor_lap)
         self.max_norm_overall = max_norm(u0)
         self.min_norm_overall = self.max_norm_overall
         self.aborted: str | None = None
@@ -220,7 +223,8 @@ class _Run:
         for k in range(1, mesh.n_steps + 1):
             tau = mesh.tau(k)
             u, iters = bdf2_step(
-                self.state, tau, self.grid, self.eps, self.source_at, self.cfg.newton
+                self.state, tau, self.grid, self.eps, self.source_at, self.cfg.newton,
+                anchor_lap=self.anchor_lap,
             )
             rec = StepRecord(
                 n=k,
@@ -247,7 +251,8 @@ class _Run:
         while self.state.t < T - end_slack:
             tau = min(tau, T - self.state.t)  # clip the final step to land on T
             res = advance(
-                self.state, tau, self.grid, self.eps, acfg, cfg.newton, self.source_at
+                self.state, tau, self.grid, self.eps, acfg, cfg.newton, self.source_at,
+                anchor_lap=self.anchor_lap,
             )
             yield res.u, res.record, res.rejected, res.newton_iters_onestep
             tau = res.tau_next
@@ -273,7 +278,8 @@ class _Run:
 
     def _accept(self, u: np.ndarray, rec: StepRecord) -> None:
         """Fold an accepted level into the march state."""
-        rec.energy = energy(u, self.grid, self.eps)
+        # u becomes the anchor: its Laplacian replaces the old anchor's
+        rec.energy = energy(u, self.grid, self.eps, self.anchor_lap)
         if self.error_at is not None:
             self.err_inf = max(self.err_inf, self.error_at(u, rec.t))
         flags = self.monitors.evaluate(rec)

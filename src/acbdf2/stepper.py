@@ -25,7 +25,9 @@ size the safeguards admit.
 Every call on a grid works in that grid's :class:`Workspace`, one set of
 fields built on first use and reused by every later step, sweep, linear
 solve and energy, so a warmed step allocates nothing but the root it
-returns.
+returns.  The one field that outlives a level, the anchor's Laplacian
+``anchor_lap``, belongs to the march: :func:`energy` leaves it when the
+march accepts a level, and every solve from that level reads it.
 """
 
 from __future__ import annotations
@@ -111,18 +113,40 @@ class StepRecord:
     maxp_bound_ok: bool = False
 
 
+#: Byte alignment of the workspace: one cache line.  ``malloc`` returns
+#: 16-byte aligned blocks, and whether a block also starts on a line
+#: depends on what the process allocated before it.  numpy's vector loops
+#: then split every load of a misaligned field across two lines: on a
+#: 2-vCPU Xeon at M = 128, CG ran about 15% slower from a 16-mod-64 block
+#: than from a 64-byte aligned one, so identical trees timed differently.
+ALIGN = 64
+
+
+def _aligned_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised C-ordered array whose data starts on an ``ALIGN`` boundary."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    raw = np.empty(nbytes + ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % ALIGN
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
+
+
 class Workspace:
     """The solver's work fields on one ``M x M`` grid; see :func:`workspace`.
 
     A field holds nothing between calls: the call that owns it writes it
     before reading it.  Fields whose lifetimes overlap are distinct; the
     others share storage.  No field is handed to a caller outside this
-    module, except ``scratch`` to :func:`acbdf2.adaptive.advance`.
+    module, except ``scratch`` to :func:`acbdf2.adaptive.advance`.  The
+    anchor's Laplacian, which must outlive a level, is not here: the march
+    owns that field and passes it to every solve as ``anchor_lap``.
 
     * ``lap``, ``scratch``: output and scratch of :func:`laplacian_apply`,
-      and elementwise temporaries, in :func:`nonlinear_solve`, :func:`_pcg`,
-      :func:`energy` and :func:`modified_energy`.  ``advance`` lends
-      ``scratch`` to :func:`acbdf2.adaptive.error_estimate` between solves.
+      and elementwise temporaries, in :func:`nonlinear_solve` and
+      :func:`_pcg`.  :func:`energy` uses ``scratch`` and writes the
+      Laplacian into the field its caller passes, which is ``lap`` when
+      :func:`modified_energy` calls it.  ``advance`` lends ``scratch`` to
+      :func:`acbdf2.adaptive.error_estimate` between solves.
     * ``w``, ``base``, ``lin_coef``, ``cubic_shift``: :func:`nonlinear_solve`,
       live for the whole solve.
     * ``residual``, ``react``, ``diag``, ``inv``: one Newton sweep: the
@@ -136,6 +160,8 @@ class Workspace:
 
     That is 14 real fields and three half spectra, about 17 fields; the
     spectra are touched only on runs that pick the spectral preconditioner.
+    The real fields and the spectra are two blocks, each starting on a
+    cache line (:data:`ALIGN`); at M = 128 and 256 so does every field.
     * ``const`` (storage of ``r``) and ``start`` (storage of ``z``):
       :func:`bdf2_step`'s constant term and its history difference, which
       becomes the extrapolated start.  Both are dead once
@@ -149,8 +175,8 @@ class Workspace:
             self.w, self.base, self.lin_coef, self.cubic_shift,
             self.residual, self.react, self.diag,
             self.delta, self.r, self.z, self.p, self.ap,
-        ) = np.empty((14, M, M))
-        self.inv, self.spec, self.spec_work = np.empty((3, M, M // 2 + 1), dtype=complex)
+        ) = _aligned_empty((14, M, M), float)
+        self.inv, self.spec, self.spec_work = _aligned_empty((3, M, M // 2 + 1), complex)
         self.const = self.r
         self.start = self.z
 
@@ -298,7 +324,8 @@ def finishes(res: float, u_max: float, b0: float, tol: float) -> bool:
     the next residual is ``-r_lin + 3 u delta^2 + delta^3`` and its
     max-norm is at most ``tol / 2 + (3 u_max + d) d^2``.  True means that
     bound is within ``tol``; only the rounding of the residual evaluation
-    can then make the next sweep miss.
+    could then make the next sweep miss, so :func:`nonlinear_solve` returns
+    the corrected iterate without that evaluation.
     """
     d = (res + 0.5 * tol) / (b0 - 1.0)
     return (3.0 * u_max + d) * d * d <= 0.5 * tol
@@ -313,8 +340,13 @@ def nonlinear_solve(
     cfg: NewtonConfig,
     *,
     anchor: np.ndarray,
+    anchor_lap: np.ndarray,
 ) -> tuple[np.ndarray, int]:
     """Solve ``b0 (u - anchor) - eps^2 Lap u + u^3 - u = const`` from ``u0``.
+
+    ``anchor_lap`` must hold ``laplacian_apply(anchor)``.  A march keeps the
+    field :func:`energy` leaves when it accepts the anchor; any other caller
+    forms it with :func:`acbdf2.spatial.laplacian_apply`.
 
     The unknown is carried internally as the increment ``w = u - anchor``
     and the cubic is expanded about the anchor, so every ``w``-dependent
@@ -323,9 +355,13 @@ def nonlinear_solve(
     moves ``b0 u`` by more than the tolerance, while one ulp of the small
     increment moves it by a negligible amount.
 
-    Returns the root and the number of Newton sweeps (residual evaluations);
-    a start point already at the root counts as one sweep.  Convergence is
-    decided by the residual test ``||F||_inf <= tol`` alone.
+    Returns the root and the number of Newton sweeps; a start point
+    already at the root counts as one sweep.  The residual test
+    ``||F||_inf <= tol`` ends a solve, except where the finishing rule
+    below has proved the last correction good enough: then the bound, not
+    the residual test, decides the solve.  Its root returns at the top of
+    the next sweep, which evaluates no residual but still counts, so the
+    count is the one that sweep's passing residual test would give.
 
     Each correction is solved inexactly (Eisenstat & Walker, SIAM J. Sci.
     Comput. 17, 1996).  The relative forcing term tightens with the square
@@ -337,14 +373,14 @@ def nonlinear_solve(
     buys nothing the residual test can see.  The finishing rule
     (:func:`finishes`) goes one step further: when a correction solved to
     that floor provably leaves a next residual within ``tol``, the CG call
-    stops at the floor alone, and the next sweep is expected to be the
-    last.  Should rounding make it miss, Newton runs one more sweep.  Each
-    linear solve takes the preconditioner :func:`spectral_pays` picks for
-    its reaction range.
+    stops at the floor alone, and the solve returns ``anchor + w`` without
+    evaluating that residual.  Only the rounding of the residual
+    evaluation could make it miss.  Each linear solve takes the
+    preconditioner :func:`spectral_pays` picks for its reaction range.
 
     Everything but the returned root lives in the grid's :class:`Workspace`.
-    ``u0`` and ``const`` are read only before the first sweep; ``anchor``
-    also on every sweep, to form the root ``anchor + w``.
+    ``u0``, ``const`` and ``anchor_lap`` are read only before the first
+    sweep; ``anchor`` also on every sweep, to form the root ``anchor + w``.
     """
     h = grid.h
     e2 = eps * eps
@@ -357,12 +393,10 @@ def nonlinear_solve(
 
     # base residual at w = 0: everything that does not move with w
     np.subtract(u0, anchor, out=w)
-    laplacian_apply(anchor, h, out=lap, scratch=scratch)
     np.multiply(anchor, anchor, out=base)
     base -= 1.0
     base *= anchor
-    lap *= e2
-    base -= lap
+    base -= np.multiply(anchor_lap, e2, out=lap)
     base -= const
     # b0 - 1 + (3 a) a
     cubic_shift = np.multiply(anchor, 3.0, out=ws.cubic_shift)
@@ -370,7 +404,11 @@ def nonlinear_solve(
     lin_coef += b0 - 1.0
     u = np.empty_like(u0, order="C")
     res_prev = None
+    proven = False
     for sweep in range(1, cfg.max_iter + 1):
+        if proven:
+            # the last correction provably met the tolerance (finishes)
+            return np.add(anchor, w, out=u), sweep
         # residual in increment form:
         #   (b0 - 1 + 3 a^2) w + (3 a + w) w^2 - e2 Lap w + base
         laplacian_apply(w, h, out=lap, scratch=scratch)
@@ -386,7 +424,8 @@ def nonlinear_solve(
         np.add(anchor, w, out=u)
         if res_norm <= cfg.tol:
             return u, sweep
-        if finishes(res_norm, max_norm(u), b0, cfg.tol):
+        proven = finishes(res_norm, max_norm(u), b0, cfg.tol)
+        if proven:
             # the bound assumes the absolute stop, whatever lin_rtol asks
             rtol_k = 0.0
         else:
@@ -414,8 +453,10 @@ def bdf2_step(
     tau: float,
     grid: Grid2D,
     eps: float,
-    source_at=None,
-    cfg: NewtonConfig | None = None,
+    source_at,
+    cfg: NewtonConfig,
+    *,
+    anchor_lap: np.ndarray,
     kernels: Bdf2Kernels | None = None,
 ) -> tuple[np.ndarray, int]:
     """Advance one level from ``state`` with step size ``tau``.
@@ -425,7 +466,9 @@ def bdf2_step(
     otherwise, or explicit ``kernels`` when the caller wants a specific
     scheme, e.g. the one-step comparison solution of the adaptive
     controller.  ``source_at(t)`` must return the source field at time
-    ``t``; it may return a buffer it reuses, as this call reads it at once.
+    ``t``, or ``source_at`` is None for no source; it may return a buffer
+    it reuses, as this call reads it at once.  ``anchor_lap`` must hold
+    ``laplacian_apply(state.u_prev)``; see :func:`nonlinear_solve`.
     Newton starts from the linear extrapolation of ``state.u_prev2`` and
     ``state.u_prev`` to ``t + tau`` when the state has both levels.  Does
     not mutate ``state``.
@@ -433,8 +476,6 @@ def bdf2_step(
     Raises :class:`SolvabilityViolated` when ``tau`` is at or above the
     unique-solvability bound, :class:`NewtonDiverged` on iteration failure.
     """
-    if cfg is None:
-        cfg = NewtonConfig()
     two_levels = state.u_prev2 is not None
     if kernels is None:
         kernels = step_kernels(tau, tau / state.tau_prev if two_levels else 0.0)
@@ -462,22 +503,27 @@ def bdf2_step(
         u0 = diff
         u0 *= tau / state.tau_prev
         u0 += state.u_prev
-    return nonlinear_solve(u0, const, kernels.b0, grid, eps, cfg, anchor=state.u_prev)
+    return nonlinear_solve(
+        u0, const, kernels.b0, grid, eps, cfg, anchor=state.u_prev, anchor_lap=anchor_lap
+    )
 
 
-def energy(u: np.ndarray, grid: Grid2D, eps: float) -> float:
+def energy(u: np.ndarray, grid: Grid2D, eps: float, lap: np.ndarray) -> float:
     """Discrete free energy, gradient part plus double-well part.
 
     ``h^2 [ -(eps^2 / 2) <u, Lap u> + (1/4) sum (1 - u^2)^2 ]``; the
     quadrature weight makes values comparable across resolutions.
+    ``Lap u`` goes into ``lap`` and stays there, so a march that accepts
+    ``u`` keeps it as the next solve's ``anchor_lap``.  ``lap`` must not
+    be the workspace's ``scratch``, which holds the other temporaries.
     """
     h = grid.h
-    ws = workspace(grid)
-    lap = laplacian_apply(u, h, out=ws.lap, scratch=ws.scratch)
-    grad_part = -0.5 * eps * eps * float(np.sum(np.multiply(u, lap, out=ws.scratch)))
-    well = np.multiply(u, u, out=ws.lap)
+    scratch = workspace(grid).scratch
+    laplacian_apply(u, h, out=lap, scratch=scratch)
+    grad_part = -0.5 * eps * eps * float(np.sum(np.multiply(u, lap, out=scratch)))
+    well = np.multiply(u, u, out=scratch)
     np.subtract(1.0, well, out=well)
-    well_part = 0.25 * float(np.sum(np.multiply(well, well, out=ws.scratch)))
+    well_part = 0.25 * float(np.sum(np.multiply(well, well, out=well)))
     return h * h * (grad_part + well_part)
 
 
@@ -495,10 +541,10 @@ def modified_energy(
     ``r'`` the next step ratio; pass 0 after the final step, which reduces
     the value to the plain energy.  Never below the plain energy.
     """
-    base = energy(u_curr, grid, eps)
+    ws = workspace(grid)
+    base = energy(u_curr, grid, eps, ws.lap)
     if ratio_next == 0.0:
         return base
-    ws = workspace(grid)
     diff = np.subtract(u_curr, u_prev, out=ws.lap)
     diff /= tau
     weight = ratio_next * tau / (2.0 * (1.0 + ratio_next))

@@ -15,12 +15,13 @@ from acbdf2.adaptive import (
     advance,
     comparison_tol,
     error_estimate,
+    solution_norm,
     tau_ada,
 )
 from acbdf2.config import parse_config
 from acbdf2.kernels import step_kernels
 from acbdf2.runner import run_simulation
-from acbdf2.spatial import Grid2D
+from acbdf2.spatial import Grid2D, laplacian_apply
 from acbdf2.stepper import NewtonConfig, StepperState, bdf2_step
 from acbdf2.time_mesh import S0_LIMIT
 
@@ -32,25 +33,27 @@ class TestErrorEstimate:
         u2 = np.full((4, 4), 2.0)
         u1 = np.ones((4, 4))
         for h in (0.1, 0.25):
-            e = error_estimate(u1, u2, h, "l2", np.empty((4, 4)))
+            scratch = np.empty((4, 4))
+            ref = solution_norm(u2, h, "l2", scratch)
+            e = error_estimate(u1, u2, ref, h, "l2", scratch)
             assert e == pytest.approx(0.5, rel=1e-15)
 
     def test_max_norm_variant(self):
         u2 = np.array([[4.0, 0.0], [0.0, 0.0]])
         u1 = np.array([[4.0, 1.0], [0.0, 0.0]])
-        e = error_estimate(u1, u2, 0.5, "max", np.empty((2, 2)))
+        e = error_estimate(u1, u2, 4.0, 0.5, "max", np.empty((2, 2)))
         assert e == pytest.approx(0.25, rel=1e-15)
 
     def test_zero_reference_raises(self):
         with pytest.raises(ZeroReference):
             error_estimate(
-                np.ones((2, 2)), np.zeros((2, 2)), 0.5, "l2", np.empty((2, 2))
+                np.ones((2, 2)), np.zeros((2, 2)), 0.0, 0.5, "l2", np.empty((2, 2))
             )
 
     def test_unknown_norm_raises(self):
         with pytest.raises(ValueError):
             error_estimate(
-                np.ones((2, 2)), np.ones((2, 2)), 0.5, "l1", np.empty((2, 2))
+                np.ones((2, 2)), np.ones((2, 2)), 1.0, 0.5, "l1", np.empty((2, 2))
             )
 
 
@@ -111,7 +114,10 @@ class TestAdvance:
         tau = cfg.tau_min
         taus, rejects = [], 0
         for _ in range(n_levels):
-            res = advance(state, tau, self.GRID, self.EPS, cfg, NEWTON)
+            res = advance(
+                state, tau, self.GRID, self.EPS, cfg, NEWTON,
+                anchor_lap=laplacian_apply(state.u_prev, self.GRID.h),
+            )
             rejects += len(res.rejected)
             taus.append(res.record.tau)
             state = StepperState(
@@ -129,7 +135,10 @@ class TestAdvance:
         state = StepperState(
             u_prev=np.full((8, 8), 0.9), u_prev2=None, n=0, t=0.0
         )
-        res = advance(state, 1e-3, self.GRID, self.EPS, cfg, NEWTON)
+        res = advance(
+            state, 1e-3, self.GRID, self.EPS, cfg, NEWTON,
+            anchor_lap=laplacian_apply(state.u_prev, self.GRID.h),
+        )
         rec = res.record
         assert rec.e_est == 0.0
         assert rec.accepted
@@ -144,7 +153,10 @@ class TestAdvance:
         state = StepperState(
             u_prev=np.full((8, 8), 0.9), u_prev2=None, n=0, t=0.0
         )
-        res = advance(state, 1e-3, self.GRID, self.EPS, cfg, NEWTON)
+        res = advance(
+            state, 1e-3, self.GRID, self.EPS, cfg, NEWTON,
+            anchor_lap=laplacian_apply(state.u_prev, self.GRID.h),
+        )
         # e = 0 asks for tau_max; the cap cuts that to 2 tau
         assert res.tau_next == pytest.approx(2e-3, rel=1e-14)
 
@@ -153,7 +165,10 @@ class TestAdvance:
         state = StepperState(
             u_prev=np.full((8, 8), 0.9), u_prev2=None, n=0, t=0.0
         )
-        res = advance(state, 1e-3, self.GRID, self.EPS, cfg, NEWTON)
+        res = advance(
+            state, 1e-3, self.GRID, self.EPS, cfg, NEWTON,
+            anchor_lap=laplacian_apply(state.u_prev, self.GRID.h),
+        )
         assert res.tau_next == cfg.tau_max
 
     def test_relaxation_run_grows_to_tau_max(self):
@@ -173,7 +188,10 @@ class TestAdvance:
         u0 = 0.5 * rng.uniform(-1.0, 1.0, (8, 8))
         copy = u0.copy()
         state = StepperState(u_prev=u0, u_prev2=None, n=0, t=0.0)
-        advance(state, 1e-3, self.GRID, self.EPS, cfg, NEWTON)
+        advance(
+            state, 1e-3, self.GRID, self.EPS, cfg, NEWTON,
+            anchor_lap=laplacian_apply(state.u_prev, self.GRID.h),
+        )
         np.testing.assert_array_equal(state.u_prev, copy)
         assert state.n == 0
 
@@ -188,7 +206,10 @@ class TestAdvance:
         # acceptance is e < tol, so any e >= tol must reject
         state = self.two_level_state(rng)
         cfg = AdaptiveConfig(tol=1e-3)
-        res = advance(state, 0.01, self.GRID, self.EPS, cfg, NEWTON)
+        res = advance(
+            state, 0.01, self.GRID, self.EPS, cfg, NEWTON,
+            anchor_lap=laplacian_apply(state.u_prev, self.GRID.h),
+        )
         assert res.record.accepted
         assert res.record.e_est < cfg.tol
         for rec in res.rejected:
@@ -200,7 +221,10 @@ class TestAdvance:
         state = self.two_level_state(rng)
         cfg = AdaptiveConfig(tol=1e-15, max_rejects=2, tau_min=1e-4, tau_max=0.1)
         with pytest.raises(TooManyRejects, match="rejected 2 times"):
-            advance(state, 0.01, self.GRID, self.EPS, cfg, NEWTON)
+            advance(
+                state, 0.01, self.GRID, self.EPS, cfg, NEWTON,
+                anchor_lap=laplacian_apply(state.u_prev, self.GRID.h),
+            )
 
     def count_steps(self, monkeypatch):
         calls = []
@@ -220,7 +244,10 @@ class TestAdvance:
         state = self.two_level_state(rng)
         cfg = AdaptiveConfig(tol=1e-15, max_rejects=20, tau_min=1e-3)
         with pytest.raises(TooManyRejects, match="rejected 1 times"):
-            advance(state, cfg.tau_min, self.GRID, self.EPS, cfg, NEWTON)
+            advance(
+                state, cfg.tau_min, self.GRID, self.EPS, cfg, NEWTON,
+                anchor_lap=laplacian_apply(state.u_prev, self.GRID.h),
+            )
         assert calls == [cfg.tau_min, cfg.tau_min]
 
     def test_reject_budget_still_applies_above_the_floor(self, rng, monkeypatch):
@@ -231,7 +258,10 @@ class TestAdvance:
         state = self.two_level_state(rng)
         cfg = AdaptiveConfig(tol=1e-2, max_rejects=2, tau_min=1e-12)
         with pytest.raises(TooManyRejects, match="rejected 3 times"):
-            advance(state, 0.01, self.GRID, self.EPS, cfg, NEWTON)
+            advance(
+                state, 0.01, self.GRID, self.EPS, cfg, NEWTON,
+                anchor_lap=laplacian_apply(state.u_prev, self.GRID.h),
+            )
         assert len(calls) == 6
         assert calls[::2] == calls[1::2]
         assert calls[0] > calls[2] > calls[4] > cfg.tau_min
@@ -239,7 +269,10 @@ class TestAdvance:
     def test_rejection_records_carry_the_trial_sizes(self, rng):
         state = self.two_level_state(rng)
         cfg = AdaptiveConfig(tol=5e-7, max_rejects=10, tau_min=1e-5)
-        res = advance(state, 0.02, self.GRID, self.EPS, cfg, NEWTON)
+        res = advance(
+            state, 0.02, self.GRID, self.EPS, cfg, NEWTON,
+            anchor_lap=laplacian_apply(state.u_prev, self.GRID.h),
+        )
         assert len(res.rejected) >= 1
         sizes = [rec.tau for rec in res.rejected] + [res.record.tau]
         assert sizes == sorted(sizes, reverse=True)
@@ -265,9 +298,13 @@ class TestComparisonSolve:
     def test_accepted_level_is_the_plain_two_step_solve(self, rng):
         grid = Grid2D(M=16, L=1.0)
         state = self.two_level_state(rng, grid, 0.01)
-        res = advance(state, 0.01, grid, 0.05, AdaptiveConfig(tol=1e-2), NEWTON)
+        anchor_lap = laplacian_apply(state.u_prev, grid.h)
+        res = advance(
+            state, 0.01, grid, 0.05, AdaptiveConfig(tol=1e-2), NEWTON,
+            anchor_lap=anchor_lap,
+        )
         assert res.rejected == []
-        u2, iters2 = bdf2_step(state, 0.01, grid, 0.05, None, NEWTON)
+        u2, iters2 = bdf2_step(state, 0.01, grid, 0.05, None, NEWTON, anchor_lap=anchor_lap)
         np.testing.assert_array_equal(res.u, u2)
         assert res.record.newton_iters == iters2
 
@@ -292,18 +329,19 @@ class TestComparisonSolve:
             eps = 10.0 ** rng.uniform(-2.0, -0.5)
             cfg = AdaptiveConfig(tol=10.0 ** rng.uniform(-5.0, -2.0), norm=norm)
             state = self.two_level_state(rng, grid, tau)
+            anchor_lap = laplacian_apply(state.u_prev, grid.h)
             with pytest.raises(_FirstEstimate):
-                advance(state, tau, grid, eps, cfg, NEWTON)
-            u2, _ = bdf2_step(state, tau, grid, eps, None, NEWTON)
+                advance(state, tau, grid, eps, cfg, NEWTON, anchor_lap=anchor_lap)
+            u2, _ = bdf2_step(state, tau, grid, eps, None, NEWTON, anchor_lap=anchor_lap)
             u1, _ = bdf2_step(
-                state, tau, grid, eps, None, NEWTON, kernels=step_kernels(tau, 0.0)
+                state, tau, grid, eps, None, NEWTON,
+                anchor_lap=anchor_lap, kernels=step_kernels(tau, 0.0),
             )
             scratch = np.empty_like(u2)
+            ref = solution_norm(u2, grid.h, norm, scratch)
             # the draw really loosens the comparison solve
-            assert comparison_tol(u2, 1.0 / tau, grid, cfg, NEWTON.tol, scratch) > (
-                1e3 * NEWTON.tol
-            )
-            e_tight = estimate(u1, u2, grid.h, norm, scratch)
+            assert comparison_tol(ref, 1.0 / tau, grid, cfg, NEWTON.tol) > 1e3 * NEWTON.tol
+            e_tight = estimate(u1, u2, ref, grid.h, norm, scratch)
             assert abs(seen[0] - e_tight) <= 1e-3 * cfg.tol, (draw, norm, tau)
 
     def test_march_spends_fewer_comparison_sweeps(self, monkeypatch):
@@ -320,7 +358,7 @@ class TestComparisonSolve:
                 grid, eps, source_at, _ = args
                 loose.append(iters)
                 tight.append(
-                    step(state, tau, grid, eps, source_at, NEWTON, kernels=kernels)[1]
+                    step(state, tau, grid, eps, source_at, NEWTON, **kwargs)[1]
                 )
             return u, iters
 

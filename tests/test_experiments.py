@@ -15,7 +15,7 @@ from acbdf2.experiments import (
 )
 from acbdf2.runner import mms_sweep
 from acbdf2.spatial import Grid2D, laplacian_apply, max_norm
-from acbdf2.stepper import StepperState, bdf2_step
+from acbdf2.stepper import NewtonConfig, StepperState, bdf2_step
 from acbdf2.time_mesh import S0_LIMIT
 
 
@@ -133,7 +133,8 @@ def march_mms(n_steps, seed, M):
     for k in range(1, n_steps + 1):
         tau = mesh.tau(k)
         u, it = bdf2_step(
-            state, tau, grid, MmsProblem.eps, lambda t: MmsProblem.source(X, Y, t)
+            state, tau, grid, MmsProblem.eps, lambda t: MmsProblem.source(X, Y, t),
+            NewtonConfig(), anchor_lap=laplacian_apply(state.u_prev, grid.h),
         )
         iters.append(it)
         t = float(mesh.times[k])

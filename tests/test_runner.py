@@ -7,13 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from acbdf2 import runner
+from acbdf2 import runner, stepper
 from acbdf2.adaptive import DEFAULT_RATIO_CAP
 from acbdf2.config import parse_config
 from acbdf2.experiments import coarsening_init, random_mesh
 from acbdf2.kernels import choose_eta
 from acbdf2.runner import CSV_HEADER, ConstraintAbort, run_simulation
-from acbdf2.spatial import Grid2D, read_snapshot, write_snapshot
+from acbdf2.spatial import Grid2D, laplacian_apply, read_snapshot, write_snapshot
 from acbdf2.stepper import StepRecord, energy
 from acbdf2.time_mesh import S0_LIMIT, constraint_flags
 
@@ -59,7 +59,7 @@ class TestUniformMarch:
         grid = Grid2D(M=32, L=1.0)
         u0 = coarsening_init(grid, seed=3, base=0.0, amp=0.05)
         assert res.summary["energy_initial"] == pytest.approx(
-            energy(u0, grid, 0.02), rel=1e-14
+            energy(u0, grid, 0.02, np.empty_like(u0)), rel=1e-14
         )
         energies = [res.summary["energy_initial"]] + [
             r.energy for r in res.records
@@ -257,6 +257,62 @@ output.dir =
         )
 
 
+class TestAnchorLaplacian:
+    """Every solve of a march reads the Laplacian of its own anchor.
+
+    The run keeps one field, filled by the energy of each accepted level;
+    a field left over from an earlier level or trial would change the
+    solve's base residual and, through it, every root that follows.
+    """
+
+    @staticmethod
+    def check_every_solve(monkeypatch):
+        anchors = []
+        solve = stepper.nonlinear_solve
+
+        def checked(u0, const, b0, grid, eps, cfg, *, anchor, anchor_lap):
+            # bit equality: the kept field must be the very same Laplacian
+            want = laplacian_apply(anchor, grid.h)
+            assert anchor_lap.tobytes() == want.tobytes(), len(anchors)
+            anchors.append(anchor)
+            return solve(u0, const, b0, grid, eps, cfg, anchor=anchor, anchor_lap=anchor_lap)
+
+        monkeypatch.setattr(stepper, "nonlinear_solve", checked)
+        return anchors
+
+    def test_uniform_march(self, monkeypatch):
+        anchors = self.check_every_solve(monkeypatch)
+        res = run_text(BASE)
+        assert len(anchors) == res.summary["total_steps"] == 10
+
+    def test_adaptive_march_with_a_rejected_trial(self, monkeypatch):
+        anchors = self.check_every_solve(monkeypatch)
+        res = run_text(TestAdaptiveMarch.TEXT + "adaptive.ratio_cap = off\n")
+        trials = len(res.records)
+        assert res.summary["rejected_steps"] >= 1
+        # two solves per trial, one on the starting level
+        assert len(anchors) == 2 * trials - 1
+        # a rejected trial's solves and the retry's share their anchor
+        assert any(a is b for a, b in zip(anchors[2::2], anchors[4::2]))
+
+    @pytest.mark.parametrize("seed", range(5000, 5010))
+    def test_random_mesh_mms_march(self, monkeypatch, seed):
+        anchors = self.check_every_solve(monkeypatch)
+        res = run_text(
+            f"""
+domain.L = 1.0
+domain.M = 32
+time.T = 1.0
+time.scheme = random-mesh
+time.n = 40
+time.seed = {seed}
+init.kind = mms
+output.dir =
+"""
+        )
+        assert len(anchors) == res.summary["total_steps"] == 40
+
+
 class TestConstraintPolicies:
     # tau = 0.2 at M = 64, eps = 0.01 sits above the maximum-principle
     # step bound at ratio 1 (~0.14) but inside the ratio-0 bound of the
@@ -316,7 +372,7 @@ output.dir =
         res = run_text(text)
         grid = Grid2D(M=16, L=1.0)
         assert res.summary["energy_initial"] == pytest.approx(
-            energy(u0, grid, 0.05), rel=1e-14
+            energy(u0, grid, 0.05, np.empty_like(u0)), rel=1e-14
         )
         assert res.summary["total_steps"] == 2
 

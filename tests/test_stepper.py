@@ -130,8 +130,9 @@ class TestNonlinearSolve:
         grid = Grid2D(M=16, L=1.0)
         b0 = 2.0
         ones = np.ones((16, 16))
+        zero = np.zeros_like(ones)
         u, sweeps = nonlinear_solve(
-            ones, b0 * ones, b0, grid, 0.05, self.CFG, anchor=np.zeros_like(ones)
+            ones, b0 * ones, b0, grid, 0.05, self.CFG, anchor=zero, anchor_lap=zero
         )
         np.testing.assert_array_equal(u, ones)
         assert sweeps == 1
@@ -141,16 +142,18 @@ class TestNonlinearSolve:
         grid = Grid2D(M=8, L=1.0)
         const = np.full((8, 8), 1.125)
         u0 = np.zeros((8, 8))
+        zero = np.zeros_like(u0)
         u, _ = nonlinear_solve(
-            u0, const, 3.0, grid, 0.05, self.CFG, anchor=np.zeros_like(u0)
+            u0, const, 3.0, grid, 0.05, self.CFG, anchor=zero, anchor_lap=zero
         )
         np.testing.assert_allclose(u, 0.5, rtol=0.0, atol=1e-12)
 
     def test_zero_is_the_only_root_without_forcing(self):
         grid = Grid2D(M=8, L=1.0)
         u0 = np.full((8, 8), 0.3)
+        zero = np.zeros_like(u0)
         u, _ = nonlinear_solve(
-            u0, np.zeros((8, 8)), 4.0, grid, 0.05, self.CFG, anchor=np.zeros_like(u0)
+            u0, zero, 4.0, grid, 0.05, self.CFG, anchor=zero, anchor_lap=zero
         )
         np.testing.assert_allclose(u, 0.0, rtol=0.0, atol=1e-12)
 
@@ -158,8 +161,9 @@ class TestNonlinearSolve:
         grid = Grid2D(M=32, L=1.0)
         const = rng.standard_normal((32, 32))
         u0 = rng.uniform(-1.0, 1.0, (32, 32))
+        zero = np.zeros_like(u0)
         u, _ = nonlinear_solve(
-            u0, const, 5.0, grid, 0.1, self.CFG, anchor=np.zeros_like(u0)
+            u0, const, 5.0, grid, 0.1, self.CFG, anchor=zero, anchor_lap=zero
         )
         assert max_norm(residual_of(u, const, 5.0, grid, 0.1)) <= 1e-11
 
@@ -170,11 +174,13 @@ class TestNonlinearSolve:
         const = 0.3 * np.sin(2.0 * math.pi * grid.meshgrid()[1])
         b0, eps = 4.0, 0.1
         ua, _ = nonlinear_solve(
-            anchor.copy(), const, b0, grid, eps, self.CFG, anchor=anchor
+            anchor.copy(), const, b0, grid, eps, self.CFG,
+            anchor=anchor, anchor_lap=laplacian_apply(anchor, grid.h),
         )
-        u0 = anchor.copy()
+        zero = np.zeros_like(anchor)
         up, _ = nonlinear_solve(
-            u0, const + b0 * anchor, b0, grid, eps, self.CFG, anchor=np.zeros_like(u0)
+            anchor.copy(), const + b0 * anchor, b0, grid, eps, self.CFG,
+            anchor=zero, anchor_lap=zero,
         )
         np.testing.assert_allclose(ua, up, rtol=0.0, atol=1e-10)
 
@@ -186,7 +192,8 @@ class TestNonlinearSolve:
         anchor = 0.7 * np.sin(2.0 * math.pi * X) * np.sin(2.0 * math.pi * Y)
         const = 0.4 * np.cos(2.0 * math.pi * Y)
         u, sweeps = nonlinear_solve(
-            anchor.copy(), const, 1.6e4, grid, 0.05, self.CFG, anchor=anchor
+            anchor.copy(), const, 1.6e4, grid, 0.05, self.CFG,
+            anchor=anchor, anchor_lap=laplacian_apply(anchor, grid.h),
         )
         assert sweeps <= 6
         assert max_norm(u - anchor) < 1e-3  # short step, small move
@@ -194,11 +201,11 @@ class TestNonlinearSolve:
     def test_raises_after_max_iter(self):
         grid = Grid2D(M=8, L=1.0)
         cfg = NewtonConfig(max_iter=1)
-        u0 = np.zeros((8, 8))
+        zero = np.zeros((8, 8))
         with pytest.raises(NewtonDiverged, match="1 Newton sweeps"):
             nonlinear_solve(
-                u0, np.full((8, 8), 1.125), 3.0, grid, 0.05, cfg,
-                anchor=np.zeros_like(u0),
+                zero, np.full((8, 8), 1.125), 3.0, grid, 0.05, cfg,
+                anchor=zero, anchor_lap=zero,
             )
 
 
@@ -265,23 +272,47 @@ class TestNewtonStops:
         monkeypatch.setattr(stepper, "_pcg", recorded)
         cfg = NewtonConfig(tol=1e-9)
         anchor = rng.uniform(-1.0, 1.0, (16, 16))
+        grid = Grid2D(M=16, L=1.0)
         nonlinear_solve(
-            anchor, np.ones_like(anchor), 3.0, Grid2D(M=16, L=1.0), 0.05, cfg,
-            anchor=anchor,
+            anchor, np.ones_like(anchor), 3.0, grid, 0.05, cfg,
+            anchor=anchor, anchor_lap=laplacian_apply(anchor, grid.h),
         )
         assert stops and set(stops) == {0.5 * cfg.tol}
 
-    def test_uniform_march_takes_two_sweeps(self):
+    def test_uniform_march_takes_two_sweeps(self, monkeypatch):
         # four bubbles at tau = 1e-3: the finishing rule fires on the first
-        # sweep of every two-step level, so the second sweep converges
+        # sweep of every two-step level, so the second sweep returns the
+        # root without evaluating its residual
+        laps = {"outside_cg": 0}
+        in_cg = []
+        lap, pcg = stepper.laplacian_apply, stepper._pcg
+
+        def counted_lap(*args, **kwargs):
+            if not in_cg:
+                laps["outside_cg"] += 1
+            return lap(*args, **kwargs)
+
+        def marked_pcg(*args, **kwargs):
+            in_cg.append(True)
+            try:
+                return pcg(*args, **kwargs)
+            finally:
+                in_cg.pop()
+
+        monkeypatch.setattr(stepper, "laplacian_apply", counted_lap)
+        monkeypatch.setattr(stepper, "_pcg", marked_pcg)
         grid, eps, tau = Grid2D(M=32, L=2.0, origin=-1.0), 0.02, 1e-3
         cfg, tight = NewtonConfig(), NewtonConfig(tol=1e-14)
         state = StepperState(u_prev=four_bubble_init(grid, eps), u_prev2=None, n=0, t=0.0)
         for _ in range(20):
-            u, sweeps = bdf2_step(state, tau, grid, eps, cfg=cfg)
-            ref, _ = bdf2_step(state, tau, grid, eps, cfg=tight)
+            anchor_lap = laplacian_apply(state.u_prev, grid.h)
+            laps["outside_cg"] = 0
+            u, sweeps = bdf2_step(state, tau, grid, eps, None, cfg, anchor_lap=anchor_lap)
             if state.u_prev2 is not None:
                 assert sweeps == 2
+                # the first sweep's residual; the base reuses anchor_lap
+                assert laps["outside_cg"] == 1
+            ref, _ = bdf2_step(state, tau, grid, eps, None, tight, anchor_lap=anchor_lap)
             assert max_norm(u - ref) <= 10.0 * cfg.tol
             state = StepperState(
                 u_prev=u, u_prev2=state.u_prev, n=state.n + 1,
@@ -310,28 +341,45 @@ class TestNewtonStops:
             eps = rng.uniform(0.005, 0.1)
             grid = Grid2D(M=M, L=1.0)
             anchor = rng.uniform(-1.0, 1.0, (M, M))
+            anchor_lap = laplacian_apply(anchor, grid.h)
             const = rng.uniform(-1.0, 1.0, (M, M))
             verdicts.clear()
-            _, sweeps = nonlinear_solve(anchor, const, b0, grid, eps, cfg, anchor=anchor)
+            u, sweeps = nonlinear_solve(
+                anchor, const, b0, grid, eps, cfg, anchor=anchor, anchor_lap=anchor_lap
+            )
             # one verdict per sweep that missed the tolerance
             assert len(verdicts) == sweeps - 1
             if any(verdicts):
                 fired += 1
                 assert verdicts.index(True) == sweeps - 2
+                # the solve returned on the bound without testing the
+                # residual; the root it returned must pass that test
+                verdicts.clear()
+                _, again = nonlinear_solve(
+                    u, const, b0, grid, eps, cfg, anchor=anchor, anchor_lap=anchor_lap
+                )
+                assert again == 1, (seed, b0)
         assert fired >= 40
 
 
 class TestBdf2Step:
     GRID = Grid2D(M=16, L=1.0)
     EPS = 0.1
+    CFG = NewtonConfig()
 
     def first_state(self, u0):
         return StepperState(u_prev=u0, u_prev2=None, n=0, t=0.0)
 
+    def step(self, state, tau, source_at=None, cfg=CFG, **kwargs):
+        return bdf2_step(
+            state, tau, self.GRID, self.EPS, source_at, cfg,
+            anchor_lap=laplacian_apply(state.u_prev, self.GRID.h), **kwargs,
+        )
+
     def test_first_step_is_backward_euler(self, rng):
         u0 = 0.5 * rng.uniform(-1.0, 1.0, (16, 16))
         tau = 0.05
-        u, _ = bdf2_step(self.first_state(u0), tau, self.GRID, self.EPS)
+        u, _ = self.step(self.first_state(u0), tau)
         back_diff = (u - u0) / tau
         rhs = self.EPS**2 * laplacian_apply(u, self.GRID.h) - (u**3 - u)
         np.testing.assert_allclose(back_diff, rhs, rtol=0.0, atol=1e-10)
@@ -341,7 +389,7 @@ class TestBdf2Step:
         u_prev = 0.4 * rng.uniform(-1.0, 1.0, (16, 16))
         state = StepperState(u_prev=u_prev, u_prev2=u_prev2, n=2, t=0.2, tau_prev=0.1)
         tau = 0.12
-        u, _ = bdf2_step(state, tau, self.GRID, self.EPS)
+        u, _ = self.step(state, tau)
         k = step_kernels(tau, tau / 0.1)
         lhs = apply_bdf2(u, u_prev, u_prev2, k)
         rhs = self.EPS**2 * laplacian_apply(u, self.GRID.h) - (u**3 - u)
@@ -355,7 +403,7 @@ class TestBdf2Step:
             seen.append(t)
             return np.full((16, 16), 0.01)
 
-        bdf2_step(self.first_state(u0), 0.25, self.GRID, self.EPS, source_at)
+        self.step(self.first_state(u0), 0.25, source_at)
         assert seen == [0.25]
 
     def test_explicit_kernels_override_history(self, rng):
@@ -363,9 +411,7 @@ class TestBdf2Step:
         u_prev = 0.3 * rng.uniform(-1.0, 1.0, (16, 16))
         state = StepperState(u_prev=u_prev, u_prev2=u_prev2, n=2, t=0.2, tau_prev=0.1)
         tau = 0.1
-        u, _ = bdf2_step(
-            state, tau, self.GRID, self.EPS, kernels=step_kernels(tau, 0.0)
-        )
+        u, _ = self.step(state, tau, kernels=step_kernels(tau, 0.0))
         back_diff = (u - u_prev) / tau  # one-step form despite two histories
         rhs = self.EPS**2 * laplacian_apply(u, self.GRID.h) - (u**3 - u)
         np.testing.assert_allclose(back_diff, rhs, rtol=0.0, atol=1e-10)
@@ -374,7 +420,7 @@ class TestBdf2Step:
         u0 = 0.5 * rng.uniform(-1.0, 1.0, (16, 16))
         copy = u0.copy()
         state = self.first_state(u0)
-        bdf2_step(state, 0.05, self.GRID, self.EPS)
+        self.step(state, 0.05)
         np.testing.assert_array_equal(state.u_prev, copy)
 
     def test_history_is_not_mutated(self, rng):
@@ -383,23 +429,23 @@ class TestBdf2Step:
         u_prev = 0.5 * rng.uniform(-1.0, 1.0, (16, 16))
         copies = u_prev.copy(), u_prev2.copy()
         state = StepperState(u_prev=u_prev, u_prev2=u_prev2, n=2, t=0.1, tau_prev=0.05)
-        bdf2_step(state, 0.05, self.GRID, self.EPS)
+        self.step(state, 0.05)
         np.testing.assert_array_equal(state.u_prev, copies[0])
         np.testing.assert_array_equal(state.u_prev2, copies[1])
 
     def test_solvability_guard(self):
         u0 = np.zeros((16, 16))
         with pytest.raises(SolvabilityViolated):
-            bdf2_step(self.first_state(u0), 1.0, self.GRID, self.EPS)  # bound 1
+            self.step(self.first_state(u0), 1.0)  # bound 1
         state = StepperState(u_prev=u0, u_prev2=u0, n=2, t=0.0, tau_prev=1.5)
         with pytest.raises(SolvabilityViolated):
-            bdf2_step(state, 1.5, self.GRID, self.EPS)  # ratio 1, bound 3/2
+            self.step(state, 1.5)  # ratio 1, bound 3/2
 
     def test_solver_failure_propagates(self):
         cfg = NewtonConfig(max_iter=1)
         u0 = np.full((16, 16), 0.9)
         with pytest.raises(NewtonDiverged):
-            bdf2_step(self.first_state(u0), 0.9, self.GRID, self.EPS, cfg=cfg)
+            self.step(self.first_state(u0), 0.9, cfg=cfg)
 
 
 class TestExtrapolatedStart:
@@ -425,7 +471,8 @@ class TestExtrapolatedStart:
             if u_prev2 is not None:
                 const -= k.b1 * (u_prev - u_prev2)
             u, sweeps = nonlinear_solve(
-                u_prev, const, k.b0, self.GRID, self.EPS, self.CFG, anchor=u_prev
+                u_prev, const, k.b0, self.GRID, self.EPS, self.CFG,
+                anchor=u_prev, anchor_lap=laplacian_apply(u_prev, self.GRID.h),
             )
             levels.append((u, sweeps))
             u_prev, u_prev2, tau_prev = u, u_prev, tau
@@ -435,7 +482,10 @@ class TestExtrapolatedStart:
         state = StepperState(u_prev=u0, u_prev2=None, n=0, t=0.0)
         levels = []
         for tau in mesh.steps:
-            u, sweeps = bdf2_step(state, tau, self.GRID, self.EPS, cfg=self.CFG)
+            u, sweeps = bdf2_step(
+                state, tau, self.GRID, self.EPS, None, self.CFG,
+                anchor_lap=laplacian_apply(state.u_prev, self.GRID.h),
+            )
             levels.append((u, sweeps))
             state = StepperState(
                 u_prev=u, u_prev2=state.u_prev, n=state.n + 1,
@@ -455,10 +505,14 @@ class TestExtrapolatedStart:
         u = rng.uniform(-1.0, 1.0, (32, 32))
         state = StepperState(u_prev=u, u_prev2=u.copy(), n=3, t=0.3, tau_prev=0.1)
         tau = 0.05
-        got, got_sweeps = bdf2_step(state, tau, self.GRID, self.EPS, cfg=self.CFG)
+        anchor_lap = laplacian_apply(u, self.GRID.h)
+        got, got_sweeps = bdf2_step(
+            state, tau, self.GRID, self.EPS, None, self.CFG, anchor_lap=anchor_lap
+        )
         k = step_kernels(tau, tau / 0.1)
         want, want_sweeps = nonlinear_solve(
-            u, np.zeros_like(u), k.b0, self.GRID, self.EPS, self.CFG, anchor=u
+            u, np.zeros_like(u), k.b0, self.GRID, self.EPS, self.CFG,
+            anchor=u, anchor_lap=anchor_lap,
         )
         np.testing.assert_array_equal(got, want)
         assert got_sweeps == want_sweeps
@@ -498,37 +552,51 @@ class TestWorkspace:
     GRID = Grid2D(M=64, L=2.0, origin=-1.0)
     EPS = 0.02
     TAU = 1e-3
+    CFG = NewtonConfig()
+
+    def step(self, state, anchor_lap):
+        return bdf2_step(
+            state, self.TAU, self.GRID, self.EPS, None, self.CFG, anchor_lap=anchor_lap
+        )
 
     def two_step_state(self):
         u0 = four_bubble_init(self.GRID, self.EPS)
         first = StepperState(u_prev=u0, u_prev2=None, n=0, t=0.0)
-        u1, _ = bdf2_step(first, self.TAU, self.GRID, self.EPS)
+        u1, _ = self.step(first, laplacian_apply(u0, self.GRID.h))
         return StepperState(u_prev=u1, u_prev2=u0, n=1, t=self.TAU, tau_prev=self.TAU)
 
     def test_warm_two_step_allocates_only_its_root(self):
         state = self.two_step_state()
-        fields = peak_fields(
-            self.GRID, lambda: bdf2_step(state, self.TAU, self.GRID, self.EPS)
-        )
+        anchor_lap = laplacian_apply(state.u_prev, self.GRID.h)
+        fields = peak_fields(self.GRID, lambda: self.step(state, anchor_lap))
         assert fields < 1.5
 
     def test_energies_allocate_no_field(self):
         state = self.two_step_state()
+        lap = np.empty_like(state.u_prev)
 
         def both():
-            energy(state.u_prev, self.GRID, self.EPS)
+            energy(state.u_prev, self.GRID, self.EPS, lap)
             modified_energy(state.u_prev, state.u_prev2, self.TAU, 1.0, self.GRID, self.EPS)
 
         assert peak_fields(self.GRID, both) < 0.5
 
+    @pytest.mark.parametrize("M", [128, 256])
+    def test_fields_start_on_a_cache_line(self, M):
+        # numpy's vector loops run slower over fields off a cache line
+        ws = stepper.workspace(Grid2D(M=M, L=1.0))
+        for name, field in vars(ws).items():
+            assert field.ctypes.data % stepper.ALIGN == 0, name
+            assert field.flags.c_contiguous, name
+
     def test_consecutive_roots_are_distinct(self):
         state = self.two_step_state()
-        u2, _ = bdf2_step(state, self.TAU, self.GRID, self.EPS)
+        u2, _ = self.step(state, laplacian_apply(state.u_prev, self.GRID.h))
         kept = u2.copy()
         state = StepperState(
             u_prev=u2, u_prev2=state.u_prev, n=2, t=2 * self.TAU, tau_prev=self.TAU
         )
-        u3, _ = bdf2_step(state, self.TAU, self.GRID, self.EPS)
+        u3, _ = self.step(state, laplacian_apply(u2, self.GRID.h))
         assert not np.shares_memory(u2, u3)
         np.testing.assert_array_equal(u2, kept)
 
@@ -546,7 +614,10 @@ class TestWorkspace:
             state = StepperState(
                 u_prev=1.1 * u_prev2, u_prev2=u_prev2, n=1, t=tau, tau_prev=tau
             )
-            return bdf2_step(state, tau, grid, eps)
+            return bdf2_step(
+                state, tau, grid, eps, None, NewtonConfig(),
+                anchor_lap=laplacian_apply(state.u_prev, grid.h),
+            )
 
         b0 = step_kernels(tau, 1.0).b0
         spectral = eps == 0.5
@@ -562,20 +633,22 @@ class TestEnergies:
     def test_well_value_of_the_zero_field(self):
         # (1/4) L^2 on the unit square
         grid = Grid2D(M=32, L=1.0)
-        assert energy(np.zeros((32, 32)), grid, 0.05) == pytest.approx(
+        u = np.zeros((32, 32))
+        assert energy(u, grid, 0.05, np.empty_like(u)) == pytest.approx(
             0.25, rel=1e-14
         )
 
     def test_pure_phases_carry_no_energy(self):
         grid = Grid2D(M=16, L=2.0)
-        assert energy(np.ones((16, 16)), grid, 0.1) == 0.0
-        assert energy(-np.ones((16, 16)), grid, 0.1) == 0.0
+        lap = np.empty((16, 16))
+        assert energy(np.ones((16, 16)), grid, 0.1, lap) == 0.0
+        assert energy(-np.ones((16, 16)), grid, 0.1, lap) == 0.0
 
     def test_nonnegative_on_random_fields(self, rng):
         grid = Grid2D(M=24, L=1.0)
         for _ in range(20):
             u = rng.uniform(-1.5, 1.5, (24, 24))
-            assert energy(u, grid, 0.08) >= 0.0
+            assert energy(u, grid, 0.08, np.empty_like(u)) >= 0.0
 
     def test_matches_dense_quadratic_form(self, rng):
         M, eps = 8, 0.2
@@ -586,13 +659,23 @@ class TestEnergies:
             -0.5 * eps * eps * float(u.ravel() @ A @ u.ravel())
             + 0.25 * float(((1.0 - u * u) ** 2).sum())
         )
-        assert energy(u, grid, eps) == pytest.approx(expect, rel=1e-12)
+        assert energy(u, grid, eps, np.empty_like(u)) == pytest.approx(expect, rel=1e-12)
+
+    def test_leaves_the_laplacian_in_its_field(self, rng):
+        # the march keeps this field as the next solve's anchor_lap
+        grid = Grid2D(M=16, L=1.0)
+        u = rng.uniform(-1.0, 1.0, (16, 16))
+        lap = np.empty_like(u)
+        energy(u, grid, 0.05, lap)
+        np.testing.assert_array_equal(lap, laplacian_apply(u, grid.h))
 
     def test_modified_energy_reduces_to_plain(self, rng):
         grid = Grid2D(M=16, L=1.0)
         u = rng.uniform(-1.0, 1.0, (16, 16))
         v = rng.uniform(-1.0, 1.0, (16, 16))
-        assert modified_energy(u, v, 0.1, 0.0, grid, 0.05) == energy(u, grid, 0.05)
+        assert modified_energy(u, v, 0.1, 0.0, grid, 0.05) == energy(
+            u, grid, 0.05, np.empty_like(u)
+        )
 
     def test_modified_energy_frozen_value(self):
         # pure phases, jump 1/2 over tau = 0.1 at next ratio 1:
@@ -609,6 +692,6 @@ class TestEnergies:
         v = rng.uniform(-1.0, 1.0, (16, 16))
         for r_next in (0.5, 1.0, 3.0):
             assert modified_energy(u, v, 0.2, r_next, grid, 0.05) >= energy(
-                u, grid, 0.05
+                u, grid, 0.05, np.empty_like(u)
             )
 

@@ -225,14 +225,16 @@ class TestConstraintReport:
     def test_solvability_is_strict(self):
         # a first step of size exactly 1 sits on the bound: inadmissible
         from acbdf2.spatial import Grid2D
-        from acbdf2.stepper import SolvabilityViolated, StepperState, bdf2_step
+        from acbdf2.stepper import NewtonConfig, SolvabilityViolated, StepperState, bdf2_step
 
         assert solvability_bound(0.0) == 1.0
-        state = StepperState(u_prev=np.zeros((8, 8)), u_prev2=None, n=0, t=0.0)
+        zero = np.zeros((8, 8))
+        state = StepperState(u_prev=zero, u_prev2=None, n=0, t=0.0)
         grid = Grid2D(M=8, L=1.0)
+        cfg = NewtonConfig()
         with pytest.raises(SolvabilityViolated):
-            bdf2_step(state, 1.0, grid, 0.01)
-        u, _ = bdf2_step(state, 1.0 - 1e-3, grid, 0.01)
+            bdf2_step(state, 1.0, grid, 0.01, None, cfg, anchor_lap=zero)
+        u, _ = bdf2_step(state, 1.0 - 1e-3, grid, 0.01, None, cfg, anchor_lap=zero)
         np.testing.assert_array_equal(u, 0.0)
 
     def test_gentle_mesh_is_all_ok(self):
