@@ -55,9 +55,6 @@ from .stepper import NewtonConfig, StepRecord, StepperState, bdf2_step, workspac
 from .kernels import step_kernels
 from .time_mesh import RATIO_CEILING
 
-#: default ratio cap, just inside the zero-stability window
-DEFAULT_RATIO_CAP = RATIO_CEILING
-
 #: the share of ``tol`` by which the loose comparison solve may move ``e``
 KAPPA = 1e-3
 
@@ -83,7 +80,7 @@ class AdaptiveConfig:
     tol: float = 1e-4
     tau_max: float = 0.1
     tau_min: float = 1e-3
-    ratio_cap: float | None = DEFAULT_RATIO_CAP
+    ratio_cap: float | None = RATIO_CEILING
     max_rejects: int = 20
     norm: str = "l2"
 

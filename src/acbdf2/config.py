@@ -3,13 +3,14 @@
 Blank lines and ``#`` comments are ignored.  Parsing validates the whole
 document and reports every problem at once, each with its line number,
 rather than stopping at the first.  The schema is small on purpose: it maps
-one to one onto the solver knobs and diffs cleanly in experiment logs.
+one to one onto the solver knobs and diffs cleanly in experiment logs.  Each
+key is a field of a section dataclass, parsed by that field's annotation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .adaptive import AdaptiveConfig
 from .experiments import MMS_EPS2
@@ -113,40 +114,22 @@ def _parse_cap(raw: str) -> float | None:
     return _parse_float(raw)
 
 
-# key "section.field" -> (parser, human-readable type)
+# field annotation, as written -> (parser, human-readable type)
+_PARSERS: dict[str, tuple[object, str]] = {
+    "float": (_parse_float, "float"),
+    "int": (_parse_int, "int"),
+    "str": (str.strip, "string"),
+    "bool": (_parse_bool, "on/off"),
+    "list[float]": (_parse_float_list, "float list"),
+    "float | None": (_parse_cap, "float or 'off'"),
+}
+
+# key "section.field" -> (parser, human-readable type), one per section field
 _SCHEMA: dict[str, tuple[object, str]] = {
-    "domain.L": (_parse_float, "float"),
-    "domain.M": (_parse_int, "int"),
-    "domain.eps": (_parse_float, "float"),
-    "domain.origin": (_parse_float, "float"),
-    "time.T": (_parse_float, "float"),
-    "time.scheme": (str.strip, "string"),
-    "time.tau": (_parse_float, "float"),
-    "time.n": (_parse_int, "int"),
-    "time.seed": (_parse_int, "int"),
-    "adaptive.rho": (_parse_float, "float"),
-    "adaptive.tol": (_parse_float, "float"),
-    "adaptive.tau_max": (_parse_float, "float"),
-    "adaptive.tau_min": (_parse_float, "float"),
-    "adaptive.ratio_cap": (_parse_cap, "float or 'off'"),
-    "adaptive.max_rejects": (_parse_int, "int"),
-    "adaptive.norm": (str.strip, "string"),
-    "init.kind": (str.strip, "string"),
-    "init.base": (_parse_float, "float"),
-    "init.amp": (_parse_float, "float"),
-    "init.seed": (_parse_int, "int"),
-    "init.path": (str.strip, "string"),
-    "newton.tol": (_parse_float, "float"),
-    "newton.max_iter": (_parse_int, "int"),
-    "newton.lin_rtol": (_parse_float, "float"),
-    "constraints.s0": (str.strip, "string"),
-    "constraints.s1": (str.strip, "string"),
-    "constraints.energy_law": (str.strip, "string"),
-    "constraints.max_principle": (str.strip, "string"),
-    "output.dir": (str.strip, "string"),
-    "output.snapshots": (_parse_float_list, "float list"),
-    "output.csv": (_parse_bool, "on/off"),
-    "output.snapshot_text": (_parse_bool, "on/off"),
+    f"{section.name}.{f.name}": _PARSERS[f.type]
+    for section in fields(RunConfig)
+    if is_dataclass(section.default_factory)
+    for f in fields(section.default_factory)
 }
 
 _SCHEMES = ("uniform", "adaptive", "random-mesh")
@@ -223,8 +206,8 @@ def _validate(cfg: RunConfig) -> list[str]:
                 f"(= {math.sqrt(MMS_EPS2):.17g})"
             )
     errs.extend(cfg.newton.problems("newton.{}".format))
-    for name in ("s0", "s1", "energy_law", "max_principle"):
-        if getattr(cfg.constraints, name) not in _POLICIES:
+    for name, policy in asdict(cfg.constraints).items():
+        if policy not in _POLICIES:
             errs.append(f"constraints.{name} must be one of {', '.join(_POLICIES)}")
     for t in cfg.output.snapshots:
         if not 0.0 <= t <= cfg.time.T:

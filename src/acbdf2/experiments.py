@@ -37,7 +37,6 @@ class MmsProblem:
     needs one more field, ``scratch``, made here when not given.
     """
 
-    eps2 = MMS_EPS2
     eps = math.sqrt(MMS_EPS2)
     L = 1.0
     T = 1.0

@@ -106,13 +106,11 @@ def write_steps_csv(path: Path, records: list[StepRecord]) -> None:
 class _Monitors:
     """Constraint policies, violation counts, one-shot warnings."""
 
-    NAMES = ("s0", "s1", "energy_law", "max_principle")
-
     def __init__(self, policy_of: dict[str, str], eta: float, eps: float, h: float):
         self.policy_of = policy_of
         self.eta, self.eps, self.h = eta, eps, h
-        self.counts = {n: 0 for n in self.NAMES}
-        self.first = {n: None for n in self.NAMES}
+        self.counts = dict.fromkeys(policy_of, 0)
+        self.first = dict.fromkeys(policy_of)
 
     def evaluate(self, rec: StepRecord, ratio_next: float | None = None) -> dict:
         """The record's safeguard flags; stores its CSV flags on the way."""
@@ -157,7 +155,7 @@ class _Run:
             r_max = math.inf if cfg.adaptive.ratio_cap is None else cfg.adaptive.ratio_cap
         self.eta = run_eta(r_max)
         self.monitors = _Monitors(
-            {n: getattr(cfg.constraints, n) for n in _Monitors.NAMES},
+            dataclasses.asdict(cfg.constraints),
             self.eta, self.eps, self.grid.h,
         )
         self.records: list[StepRecord] = []

@@ -9,7 +9,6 @@ import pytest
 from acbdf2 import adaptive
 from acbdf2.adaptive import (
     AdaptiveConfig,
-    DEFAULT_RATIO_CAP,
     TooManyRejects,
     ZeroReference,
     advance,
@@ -23,7 +22,7 @@ from acbdf2.kernels import step_kernels
 from acbdf2.runner import run_simulation
 from acbdf2.spatial import Grid2D, laplacian_apply
 from acbdf2.stepper import NewtonConfig, StepperState, bdf2_step
-from acbdf2.time_mesh import S0_LIMIT
+from acbdf2.time_mesh import RATIO_CEILING, S0_LIMIT
 
 NEWTON = NewtonConfig()
 
@@ -80,8 +79,8 @@ class TestTauAda:
 class TestAdaptiveConfig:
     def test_defaults_are_valid(self):
         cfg = AdaptiveConfig()
-        assert cfg.ratio_cap == DEFAULT_RATIO_CAP
-        assert 0.0 < DEFAULT_RATIO_CAP < S0_LIMIT
+        assert cfg.ratio_cap == RATIO_CEILING
+        assert 0.0 < RATIO_CEILING < S0_LIMIT
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -87,6 +87,23 @@ class TestErrors:
         assert errors[2].startswith("line 3:")
         assert "unknown key" in errors[2]
 
+    @pytest.mark.parametrize(
+        "key,value,typename",
+        [
+            ("domain.M", "1.5", "int"),
+            ("domain.L", "wide", "float"),
+            ("output.csv", "maybe", "on/off"),
+            ("output.snapshots", "0.5, later", "float list"),
+            ("adaptive.ratio_cap", "never", "float or 'off'"),
+        ],
+    )
+    def test_parse_error_names_the_type(self, key, value, typename):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(f"{key} = {value}")
+        assert excinfo.value.errors == [
+            f"line 1: value '{value}' for '{key}' is not {typename}"
+        ]
+
     def test_window_order_error_is_named(self):
         with pytest.raises(ConfigError, match="tau_min exceeds adaptive.tau_max"):
             parse_config("adaptive.tau_min = 0.2\nadaptive.tau_max = 0.1")

@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from acbdf2 import runner, stepper
-from acbdf2.adaptive import DEFAULT_RATIO_CAP
 from acbdf2.config import parse_config
 from acbdf2.experiments import coarsening_init, random_mesh
 from acbdf2.kernels import choose_eta
 from acbdf2.runner import CSV_HEADER, ConstraintAbort, run_simulation
 from acbdf2.spatial import Grid2D, laplacian_apply, read_snapshot, write_snapshot
 from acbdf2.stepper import StepRecord, energy
-from acbdf2.time_mesh import S0_LIMIT, constraint_flags
+from acbdf2.time_mesh import RATIO_CEILING, S0_LIMIT, constraint_flags
 
 BASE = """
 domain.L = 1.0
@@ -176,7 +175,7 @@ output.dir =
     def test_eta_comes_from_the_ratio_cap(self):
         res = run_text(self.TEXT)
         assert res.summary["eta"] == choose_eta(
-            min(DEFAULT_RATIO_CAP, S0_LIMIT - 1e-6)
+            min(RATIO_CEILING, S0_LIMIT - 1e-6)
         )
         res2 = run_text(self.TEXT + "adaptive.ratio_cap = 1.5\n")
         assert res2.summary["eta"] == choose_eta(1.5)
