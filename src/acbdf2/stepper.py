@@ -193,10 +193,14 @@ def workspace(grid: Grid2D) -> Workspace:
 
 
 #: Cost of one spectrally preconditioned CG iteration, in Jacobi CG
-#: iterations.  A Jacobi iteration makes about 62 passes over the field (31
+#: iterations.  A Jacobi iteration makes about 48 passes over the field (17
 #: of them in the Laplacian).  The spectral one swaps the 3-pass division
 #: for an rfft/irfft pair, which costs what about 120 passes do at M = 128
-#: and M = 256 on one core: (62 - 3 + 120) / 62 = 2.9.
+#: and M = 256 on one core: (48 - 3 + 120) / 48 = 3.4.  The value stays at
+#: the 3.0 set when the Laplacian made 31 passes: at 3.4 the manufactured
+#: solution's steps whose reaction bound ``hi`` lies between about 630 and
+#: 830 would move from the spectral preconditioner to Jacobi and change
+#: their output bits, and no timing of those steps has been taken.
 SPECTRAL_COST = 3.0
 
 

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,70 @@ class TestLaplacian:
         # row sums of the periodic stencil vanish
         u = rng.standard_normal((32, 32))
         assert abs(laplacian_apply(u, 0.05).sum()) < 1e-8 / 0.05**2
+
+
+def roll_laplacian(u, h):
+    """Four separately formed neighbor differences, summed below, above, left, right."""
+    below = np.roll(u, 1, axis=0) - u
+    above = np.roll(u, -1, axis=0) - u
+    left = np.roll(u, 1, axis=1) - u
+    right = np.roll(u, -1, axis=1) - u
+    return (((below + above) + left) + right) * (1.0 / (h * h))
+
+
+def plateau_field(rng, M):
+    """``+-1`` plateaus with a few intermediate cells."""
+    u = np.where(rng.uniform(size=(M, M)) < 0.5, 1.0, -1.0)
+    u[rng.uniform(size=(M, M)) < 0.1] = 0.3
+    return u
+
+
+class TestLaplacianKernel:
+    """The one-difference-per-axis kernel against an independent reference."""
+
+    SIZES = [2, 3, 4, 5, 8, 128, 256]
+
+    @pytest.mark.parametrize("M", SIZES)
+    def test_bytes_match_four_separate_differences(self, M, rng):
+        h = 1.0 / M
+        for u in (rng.standard_normal((M, M)), plateau_field(rng, M)):
+            assert laplacian_apply(u, h).tobytes() == roll_laplacian(u, h).tobytes()
+
+    @pytest.mark.parametrize("M", SIZES)
+    def test_values_match_with_signed_zeros(self, M, rng):
+        # where a -0 sits next to a +0 only the sign of a zero may differ
+        u = rng.choice([0.0, -0.0, 1.0, -1.0], size=(M, M))
+        np.testing.assert_array_equal(laplacian_apply(u, 0.5), roll_laplacian(u, 0.5))
+
+    def test_transposed_input(self, rng):
+        u = rng.standard_normal((8, 8))
+        t = u.T
+        assert not t.flags.c_contiguous
+        got = laplacian_apply(t, 0.25, out=np.empty((8, 8)), scratch=np.empty((8, 8)))
+        assert got.tobytes() == roll_laplacian(np.ascontiguousarray(t), 0.25).tobytes()
+
+    @pytest.mark.parametrize("which", ["out", "scratch"])
+    def test_buffers_must_be_c_contiguous(self, which):
+        u = np.zeros((8, 8))
+        bufs = {"out": np.empty((8, 8)), "scratch": np.empty((8, 8))}
+        bufs[which] = np.empty((8, 8)).T
+        with pytest.raises(ValueError, match="C-contiguous"):
+            laplacian_apply(u, 0.1, **bufs)
+
+    def test_given_buffers_allocate_no_field(self, rng):
+        M = 128
+        u = rng.standard_normal((M, M))
+        out, scratch = np.empty_like(u), np.empty_like(u)
+        laplacian_apply(u, 0.1, out=out, scratch=scratch)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            laplacian_apply(u, 0.1, out=out, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / u.nbytes < 0.5
 
 
 class TestNorms:
