@@ -380,7 +380,8 @@ def nonlinear_solve(
     stops at the floor alone, and the solve returns ``anchor + w`` without
     evaluating that residual.  Only the rounding of the residual
     evaluation could make it miss.  Each linear solve takes the
-    preconditioner :func:`spectral_pays` picks for its reaction range.
+    preconditioner :func:`spectral_pays` picks for its reaction range; the
+    spectral one is built once per solve.
 
     Everything but the returned root lives in the grid's :class:`Workspace`.
     ``u0``, ``const`` and ``anchor_lap`` are read only before the first
@@ -409,6 +410,7 @@ def nonlinear_solve(
     u = np.empty_like(u0, order="C")
     res_prev = None
     proven = False
+    spectral = None
     for sweep in range(1, cfg.max_iter + 1):
         if proven:
             # the last correction provably met the tolerance (finishes)
@@ -440,7 +442,11 @@ def nonlinear_solve(
         react *= 3.0
         react += b0 - 1.0
         if spectral_pays(b0 - 1.0, float(react.max()), e2, h):
-            precond = spectral_preconditioner(grid, b0 - 1.0, e2)
+            # its symbol depends on b0 alone: built once, on the first
+            # sweep that picks it
+            if spectral is None:
+                spectral = spectral_preconditioner(grid, b0 - 1.0, e2)
+            precond = spectral
         else:
             np.add(react, 4.0 * e2 / (h * h), out=diag)
             precond = jacobi

@@ -122,6 +122,26 @@ class TestSpectralPreconditioner:
         for hi in (b0 - 1.0, b0 + 2.0):
             assert spectral_pays(b0 - 1.0, hi, MMS_EPS2, h)
 
+    def test_a_solve_builds_its_symbol_once(self, monkeypatch, rng):
+        # the symbol depends on b0 alone, so every sweep of a solve shares it
+        builds = []
+        build = stepper.spectral_preconditioner
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(stepper, "spectral_preconditioner", counted)
+        grid, b0, eps = Grid2D(M=64, L=1.0), 20.0, math.sqrt(MMS_EPS2)
+        anchor = rng.uniform(-1.0, 1.0, (64, 64))
+        const = rng.uniform(-1.0, 1.0, (64, 64))
+        _, sweeps = nonlinear_solve(
+            anchor, const, b0, grid, eps, NewtonConfig(),
+            anchor=anchor, anchor_lap=laplacian_apply(anchor, grid.h),
+        )
+        assert sweeps >= 3
+        assert builds == [(grid, b0 - 1.0, eps * eps)]
+
 
 class TestNonlinearSolve:
     CFG = NewtonConfig()
