@@ -41,6 +41,14 @@ exact-solve value: 1e-7 at the default ``tol``.  Where ``newton.tol``
 does, the comparison is solved as tightly as the accepted level.  On the
 first level both schemes coincide and the single solve keeps
 ``newton.tol``.
+
+The comparison's Newton starts from ``u2`` corrected by Milne's relation.
+With ``u_lin = u^n + r (u^n - u^{n-1})`` the linear extrapolation, the
+one-step error is ``r / (1 + r)`` times the extrapolation's and of the
+opposite sign to leading order, so ``u1 - u2 = -r / (1 + r) (u_lin - u2)``
+up to third order in the step.  :func:`comparison_start` forms ``u2 + r /
+(1 + r) (u2 - u_lin)``, whose gap to ``u1`` is third order where ``u2``'s
+is second; ``u1`` is still solved to ``tol1``.
 """
 
 from __future__ import annotations
@@ -144,6 +152,23 @@ def comparison_tol(
     return max(newton_tol, KAPPA * cfg.tol * (b0 - 1.0) * ref / s)
 
 
+def comparison_start(
+    state: StepperState, ratio: float, u2: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """``u2 + r / (1 + r) (u2 - u_lin)`` in ``out``; see the module docstring.
+
+    ``u_lin = u^n + r (u^n - u^{n-1})`` is formed in ``out`` first, with
+    ``r = ratio`` the step's ratio to ``state.tau_prev``.
+    """
+    lin = np.subtract(state.u_prev, state.u_prev2, out=out)
+    lin *= ratio
+    lin += state.u_prev
+    gap = np.subtract(u2, lin, out=out)
+    gap *= ratio / (1.0 + ratio)
+    gap += u2
+    return gap
+
+
 def tau_ada(e: float, tau_cur: float, cfg: AdaptiveConfig) -> float:
     """Next trial step, ``rho sqrt(tol/e) tau``, clamped to the step window.
 
@@ -195,7 +220,8 @@ def advance(
     fail identically.
     """
     rejected: list[StepRecord] = []
-    scratch = workspace(grid).scratch
+    ws = workspace(grid)
+    scratch = ws.scratch
     for _ in range(cfg.max_rejects + 1):
         u2, iters2 = bdf2_step(
             state, tau, grid, eps, source_at, newton_cfg, anchor_lap=anchor_lap
@@ -210,9 +236,10 @@ def advance(
             one_step = step_kernels(tau, 0.0)
             ref = solution_norm(u2, grid.h, cfg.norm, scratch)
             tol1 = comparison_tol(ref, one_step.b0, grid, cfg, newton_cfg.tol)
+            start = comparison_start(state, ratio, u2, ws.compare_start)
             u1, iters1 = bdf2_step(
                 state, tau, grid, eps, source_at, replace(newton_cfg, tol=tol1),
-                anchor_lap=anchor_lap, kernels=one_step,
+                anchor_lap=anchor_lap, kernels=one_step, start=start,
             )
             e = error_estimate(u1, u2, ref, grid.h, cfg.norm, scratch)
         record = StepRecord(

@@ -290,6 +290,8 @@ class _Run:
             n=rec.n,
             t=rec.t,
             tau_prev=rec.tau,
+            u_prev3=self.state.u_prev2,
+            tau_prev2=self.state.tau_prev,
         )
         self.max_norm_overall = max(self.max_norm_overall, rec.max_norm)
         self.min_norm_overall = min(self.min_norm_overall, rec.max_norm)

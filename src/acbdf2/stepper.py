@@ -15,12 +15,13 @@ picked per linear solve by a fixed condition-number rule
 (:func:`spectral_pays`): Jacobi when the reaction term dominates the
 operator, as on the phase-field runs, and the FFT inverse of its
 constant-coefficient part when diffusion dominates, as in the fine-grid
-accuracy runs.  Newton starts from the linear extrapolation
-``u^n + r (u^n - u^{n-1})`` of the last two levels, ``r = tau / tau_prev``,
-or from ``u^n`` on the first level.  The extrapolation is first-order
-accurate in the step, which saves up to one sweep per solve on variable
-steps, and it keeps the iteration in the quadratic regime for every step
-size the safeguards admit.
+accuracy runs.  Newton starts from the quadratic through the last three
+levels, evaluated at the new time: the order-2 predictor of variable-step
+BDF codes (Hairer, Norsett & Wanner, Solving ODEs I, III.5-III.7), whose
+error is third order in the step.  With two levels it starts from the
+linear extrapolation ``u^n + r (u^n - u^{n-1})``, ``r = tau / tau_prev``,
+and on the first level from ``u^n``.  A caller may pass its own start, as
+the adaptive controller does for its one-step comparison.
 
 Every call on a grid works in that grid's :class:`Workspace`, one set of
 fields built on first use and reused by every later step, sweep, linear
@@ -82,13 +83,21 @@ class NewtonConfig:
 
 @dataclass
 class StepperState:
-    """March state after ``n`` completed steps: ``u_prev = u^n`` at ``t``."""
+    """March state after ``n`` completed steps: ``u_prev = u^n`` at ``t``.
+
+    ``u_prev2`` and ``u_prev3`` are ``u^{n-1}`` and ``u^{n-2}``, None
+    before they exist; ``tau_prev`` and ``tau_prev2`` are the steps that
+    ended at ``u^n`` and at ``u^{n-1}``.  Only Newton's start reads
+    ``u_prev3`` and ``tau_prev2``.
+    """
 
     u_prev: np.ndarray
     u_prev2: np.ndarray | None
     n: int
     t: float
     tau_prev: float = 0.0
+    u_prev3: np.ndarray | None = None
+    tau_prev2: float = 0.0
 
 
 @dataclass
@@ -137,7 +146,8 @@ class Workspace:
     A field holds nothing between calls: the call that owns it writes it
     before reading it.  Fields whose lifetimes overlap are distinct; the
     others share storage.  No field is handed to a caller outside this
-    module, except ``scratch`` to :func:`acbdf2.adaptive.advance`.  The
+    module, except ``scratch`` and ``compare_start`` to
+    :func:`acbdf2.adaptive.advance`.  The
     anchor's Laplacian, which must outlive a level, is not here: the march
     owns that field and passes it to every solve as ``anchor_lap``.
 
@@ -162,11 +172,17 @@ class Workspace:
     spectra are touched only on runs that pick the spectral preconditioner.
     The real fields and the spectra are two blocks, each starting on a
     cache line (:data:`ALIGN`); at M = 128 and 256 so does every field.
-    * ``const`` (storage of ``r``) and ``start`` (storage of ``z``):
-      :func:`bdf2_step`'s constant term and its history difference, which
-      becomes the extrapolated start.  Both are dead once
-      :func:`nonlinear_solve` has formed ``base`` and ``w``, before
-      :func:`_pcg` first writes ``r`` and ``z``.
+    * ``const`` (storage of ``r``), ``start`` (storage of ``z``) and
+      ``history`` (storage of ``p``): :func:`bdf2_step`'s constant term,
+      its history difference ``u^n - u^{n-1}``, which becomes the
+      extrapolated start, and the older difference ``u^{n-1} - u^{n-2}``
+      that the quadratic start adds.
+    * ``compare_start`` (storage of ``ap``): the start that
+      :func:`acbdf2.adaptive.advance` forms for its one-step comparison
+      and passes to :func:`bdf2_step`.
+    * These four are dead once :func:`nonlinear_solve` has formed ``base``
+      and ``w``, before :func:`_pcg` first writes ``r``, ``z``, ``p`` and
+      ``ap``.
     """
 
     def __init__(self, M: int):
@@ -179,6 +195,8 @@ class Workspace:
         self.inv, self.spec, self.spec_work = _aligned_empty((3, M, M // 2 + 1), complex)
         self.const = self.r
         self.start = self.z
+        self.history = self.p
+        self.compare_start = self.ap
 
 
 def workspace(grid: Grid2D) -> Workspace:
@@ -468,6 +486,7 @@ def bdf2_step(
     *,
     anchor_lap: np.ndarray,
     kernels: Bdf2Kernels | None = None,
+    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Advance one level from ``state`` with step size ``tau``.
 
@@ -479,9 +498,12 @@ def bdf2_step(
     ``t``, or ``source_at`` is None for no source; it may return a buffer
     it reuses, as this call reads it at once.  ``anchor_lap`` must hold
     ``laplacian_apply(state.u_prev)``; see :func:`nonlinear_solve`.
-    Newton starts from the linear extrapolation of ``state.u_prev2`` and
-    ``state.u_prev`` to ``t + tau`` when the state has both levels.  Does
-    not mutate ``state``.
+    Newton starts from ``start`` when given, which must not be one of the
+    workspace's fields but ``compare_start``.  Otherwise it starts from the
+    state's levels extrapolated to ``t + tau``: the quadratic through
+    ``u_prev3``, ``u_prev2`` and ``u_prev`` when the state holds all three,
+    the line through the last two when it holds two, and ``u_prev`` itself
+    on the first level.  Does not mutate ``state``.
 
     Raises :class:`SolvabilityViolated` when ``tau`` is at or above the
     unique-solvability bound, :class:`NewtonDiverged` on iteration failure.
@@ -496,7 +518,8 @@ def bdf2_step(
         )
     ws = workspace(grid)
     const = ws.const
-    if two_levels:
+    extrapolate = start is None and two_levels
+    if kernels.b1 != 0.0 or extrapolate:
         # one history difference serves the constant and the start
         diff = np.subtract(state.u_prev, state.u_prev2, out=ws.start)
     if kernels.b1 != 0.0:
@@ -508,13 +531,27 @@ def bdf2_step(
         const.fill(0.0)
     if source_at is not None:
         const += source_at(state.t + tau)
-    u0 = state.u_prev
-    if two_levels:
-        u0 = diff
-        u0 *= tau / state.tau_prev
-        u0 += state.u_prev
+    if start is None:
+        start = state.u_prev
+    if extrapolate:
+        start = diff
+        ratio = tau / state.tau_prev
+        if state.u_prev3 is None:
+            start *= ratio
+        else:
+            # the quadratic through the last three levels at t + tau,
+            #   u^n + r a + c (a / tau_n - b / tau_{n-1}),
+            # a = u^n - u^{n-1}, b = u^{n-1} - u^{n-2},
+            # c = tau (tau + tau_n) / (tau_n + tau_{n-1})
+            tau_n, tau_n1 = state.tau_prev, state.tau_prev2
+            c = tau * (tau + tau_n) / (tau_n + tau_n1)
+            older = np.subtract(state.u_prev2, state.u_prev3, out=ws.history)
+            older *= c / tau_n1
+            start *= ratio + c / tau_n
+            start -= older
+        start += state.u_prev
     return nonlinear_solve(
-        u0, const, kernels.b0, grid, eps, cfg, anchor=state.u_prev, anchor_lap=anchor_lap
+        start, const, kernels.b0, grid, eps, cfg, anchor=state.u_prev, anchor_lap=anchor_lap
     )
 
 

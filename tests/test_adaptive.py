@@ -1,6 +1,7 @@
 """Error estimator and the accept/shrink/grow controller."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from acbdf2.adaptive import (
     TooManyRejects,
     ZeroReference,
     advance,
+    comparison_start,
     comparison_tol,
     error_estimate,
     solution_norm,
@@ -20,7 +22,7 @@ from acbdf2.adaptive import (
 from acbdf2.config import parse_config
 from acbdf2.kernels import step_kernels
 from acbdf2.runner import run_simulation
-from acbdf2.spatial import Grid2D, laplacian_apply
+from acbdf2.spatial import Grid2D, laplacian_apply, max_norm
 from acbdf2.stepper import NewtonConfig, StepperState, bdf2_step
 from acbdf2.time_mesh import RATIO_CEILING, S0_LIMIT
 
@@ -343,6 +345,58 @@ class TestComparisonSolve:
             e_tight = estimate(u1, u2, ref, grid.h, norm, scratch)
             assert abs(seen[0] - e_tight) <= 1e-3 * cfg.tol, (draw, norm, tau)
 
+    def test_level_allocates_only_its_two_candidates(self, rng):
+        # the comparison start is formed in the solver workspace
+        grid = Grid2D(M=32, L=1.0)
+        state = self.two_level_state(rng, grid, 0.01)
+        anchor_lap = laplacian_apply(state.u_prev, grid.h)
+
+        def level():
+            advance(
+                state, 0.01, grid, 0.05, AdaptiveConfig(tol=1e-2), NEWTON,
+                anchor_lap=anchor_lap,
+            )
+
+        level()
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            level()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / state.u_prev.nbytes < 2.5
+
+    def test_start_gap_to_the_comparison_is_third_order(self):
+        # constant data: the equation is u' = u - u^3, and the history is
+        # its exact solution from u(0) = 1/2 at a fixed step ratio
+        grid, eps, ratio, t = Grid2D(M=8, L=1.0), 0.1, 1.5, 0.5
+        tight = NewtonConfig(tol=1e-15)
+
+        def exact(t):
+            return np.full((8, 8), 1.0 / math.sqrt(1.0 + 3.0 * math.exp(-2.0 * t)))
+
+        gaps_u2, gaps_start = [], []
+        for tau in (0.04, 0.02, 0.01):
+            tau_prev = tau / ratio
+            state = StepperState(
+                u_prev=exact(t), u_prev2=exact(t - tau_prev), n=2, t=t, tau_prev=tau_prev
+            )
+            anchor_lap = laplacian_apply(state.u_prev, grid.h)
+            u2, _ = bdf2_step(state, tau, grid, eps, None, tight, anchor_lap=anchor_lap)
+            u1, _ = bdf2_step(
+                state, tau, grid, eps, None, tight,
+                anchor_lap=anchor_lap, kernels=step_kernels(tau, 0.0),
+            )
+            start = comparison_start(state, ratio, u2, np.empty_like(u2))
+            gaps_u2.append(max_norm(u2 - u1))
+            gaps_start.append(max_norm(start - u1))
+        # halving tau cuts u2's gap about 4-fold and the start's about 8-fold
+        for k in (0, 1):
+            assert 3.0 < gaps_u2[k] / gaps_u2[k + 1] < 5.0
+            assert gaps_start[k] / gaps_start[k + 1] > 6.5, gaps_start
+
     def test_march_spends_fewer_comparison_sweeps(self, monkeypatch):
         # every comparison solve of a short M = 64 four-bubble march, against
         # the same solve at newton.tol from the same state
@@ -350,6 +404,9 @@ class TestComparisonSolve:
         loose, tight = [], []
 
         def counted(state, tau, *args, **kwargs):
+            # the start lives in a work field the solve overwrites
+            start = kwargs.get("start")
+            kept = dict(kwargs, start=None if start is None else start.copy())
             u, iters = step(state, tau, *args, **kwargs)
             kernels = kwargs.get("kernels")
             one_step = kernels is not None and kernels.ratio == 0.0
@@ -357,7 +414,7 @@ class TestComparisonSolve:
                 grid, eps, source_at, _ = args
                 loose.append(iters)
                 tight.append(
-                    step(state, tau, grid, eps, source_at, NEWTON, **kwargs)[1]
+                    step(state, tau, grid, eps, source_at, NEWTON, **kept)[1]
                 )
             return u, iters
 

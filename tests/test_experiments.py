@@ -138,7 +138,10 @@ def march_mms(n_steps, seed, M):
         )
         iters.append(it)
         t = float(mesh.times[k])
-        state = StepperState(u_prev=u, u_prev2=state.u_prev, n=k, t=t, tau_prev=tau)
+        state = StepperState(
+            u_prev=u, u_prev2=state.u_prev, n=k, t=t, tau_prev=tau,
+            u_prev3=state.u_prev2, tau_prev2=state.tau_prev,
+        )
         err = max(err, max_norm(u - MmsProblem.exact(X, Y, t)))
     return err, iters
 

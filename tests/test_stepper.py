@@ -469,10 +469,11 @@ class TestBdf2Step:
 
 
 class TestExtrapolatedStart:
-    """Newton starts from ``u^n + r (u^n - u^{n-1})`` once there is a history.
+    """Newton starts from the levels so far, extrapolated to the new time.
 
-    The reference march below is the start from the previous level, written
-    out with :func:`nonlinear_solve`.  Both starts solve the same system to
+    With three levels the start is the quadratic through them, with two the
+    line ``u^n + r (u^n - u^{n-1})``.  The reference march below is the
+    start from the previous level, written out with :func:`nonlinear_solve`.  Both starts solve the same system to
     the same residual tolerance, so their roots may differ by about
     ``newton.tol`` per level; :data:`ROOT_BOUND` allows ten times that.
     """
@@ -510,6 +511,7 @@ class TestExtrapolatedStart:
             state = StepperState(
                 u_prev=u, u_prev2=state.u_prev, n=state.n + 1,
                 t=state.t + tau, tau_prev=tau,
+                u_prev3=state.u_prev2, tau_prev2=state.tau_prev,
             )
         return levels
 
@@ -523,7 +525,10 @@ class TestExtrapolatedStart:
 
     def test_constant_history_starts_from_the_previous_level(self, rng):
         u = rng.uniform(-1.0, 1.0, (32, 32))
-        state = StepperState(u_prev=u, u_prev2=u.copy(), n=3, t=0.3, tau_prev=0.1)
+        state = StepperState(
+            u_prev=u, u_prev2=u.copy(), n=3, t=0.3, tau_prev=0.1,
+            u_prev3=u.copy(), tau_prev2=0.07,
+        )
         tau = 0.05
         anchor_lap = laplacian_apply(u, self.GRID.h)
         got, got_sweeps = bdf2_step(
@@ -536,6 +541,35 @@ class TestExtrapolatedStart:
         )
         np.testing.assert_array_equal(got, want)
         assert got_sweeps == want_sweeps
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_start_is_exact_on_data_polynomial_in_t(self, monkeypatch, rng, levels):
+        # variable steps; three levels fit a quadratic in t, two a line
+        a, b, c = (rng.uniform(-1.0, 1.0, (32, 32)) for _ in range(3))
+        if levels == 2:
+            c = np.zeros_like(c)
+
+        def at(t):
+            return a + b * t + c * t * t
+
+        t, tau_n1, tau_n, tau = 1.0, 0.03, 0.05, 0.08
+        state = StepperState(
+            u_prev=at(t), u_prev2=at(t - tau_n), n=3, t=t, tau_prev=tau_n,
+            u_prev3=at(t - tau_n - tau_n1) if levels == 3 else None, tau_prev2=tau_n1,
+        )
+        starts = []
+        solve = stepper.nonlinear_solve
+
+        def recorded(u0, *args, **kwargs):
+            starts.append(u0.copy())
+            return solve(u0, *args, **kwargs)
+
+        monkeypatch.setattr(stepper, "nonlinear_solve", recorded)
+        bdf2_step(
+            state, tau, self.GRID, self.EPS, None, self.CFG,
+            anchor_lap=laplacian_apply(state.u_prev, self.GRID.h),
+        )
+        np.testing.assert_allclose(starts[0], at(t + tau), rtol=0.0, atol=1e-13)
 
     def test_random_mesh_march_saves_sweeps(self):
         ref_sweeps, sweeps = self.compare(random_mesh(20, 1.0, 3))
@@ -587,6 +621,18 @@ class TestWorkspace:
 
     def test_warm_two_step_allocates_only_its_root(self):
         state = self.two_step_state()
+        anchor_lap = laplacian_apply(state.u_prev, self.GRID.h)
+        fields = peak_fields(self.GRID, lambda: self.step(state, anchor_lap))
+        assert fields < 1.5
+
+    def test_warm_quadratic_start_allocates_only_its_root(self):
+        # the quadratic start is formed in the workspace too
+        state = self.two_step_state()
+        u2, _ = self.step(state, laplacian_apply(state.u_prev, self.GRID.h))
+        state = StepperState(
+            u_prev=u2, u_prev2=state.u_prev, n=2, t=2 * self.TAU, tau_prev=self.TAU,
+            u_prev3=state.u_prev2, tau_prev2=self.TAU,
+        )
         anchor_lap = laplacian_apply(state.u_prev, self.GRID.h)
         fields = peak_fields(self.GRID, lambda: self.step(state, anchor_lap))
         assert fields < 1.5
