@@ -97,8 +97,8 @@ def laplacian_apply(
     differences; only the sign of a zero can differ, where zeros of both
     signs sit side by side in ``u``.  The differences run over the flat
     C-ordered fields, one shifted slice per axis, with the wrap-around
-    row and column fixed after: 17 passes over the field, 6 of them whole
-    field operations.
+    row and column fixed after: 6 whole-field operations, 17 passes over
+    the field.
 
     ``out`` and ``scratch`` let hot loops reuse buffers; both must match
     ``u`` in shape, must not alias it and must be C-contiguous, else

@@ -498,8 +498,8 @@ def bdf2_step(
     ``t``, or ``source_at`` is None for no source; it may return a buffer
     it reuses, as this call reads it at once.  ``anchor_lap`` must hold
     ``laplacian_apply(state.u_prev)``; see :func:`nonlinear_solve`.
-    Newton starts from ``start`` when given, which must not be one of the
-    workspace's fields but ``compare_start``.  Otherwise it starts from the
+    Newton starts from ``start`` when given; it may share storage with no
+    workspace field but ``compare_start``.  Otherwise it starts from the
     state's levels extrapolated to ``t + tau``: the quadratic through
     ``u_prev3``, ``u_prev2`` and ``u_prev`` when the state holds all three,
     the line through the last two when it holds two, and ``u_prev`` itself
@@ -531,8 +531,6 @@ def bdf2_step(
         const.fill(0.0)
     if source_at is not None:
         const += source_at(state.t + tau)
-    if start is None:
-        start = state.u_prev
     if extrapolate:
         start = diff
         ratio = tau / state.tau_prev
@@ -550,6 +548,8 @@ def bdf2_step(
             start *= ratio + c / tau_n
             start -= older
         start += state.u_prev
+    elif start is None:
+        start = state.u_prev
     return nonlinear_solve(
         start, const, kernels.b0, grid, eps, cfg, anchor=state.u_prev, anchor_lap=anchor_lap
     )

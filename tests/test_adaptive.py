@@ -1,7 +1,6 @@
 """Error estimator and the accept/shrink/grow controller."""
 
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,8 @@ from acbdf2.runner import run_simulation
 from acbdf2.spatial import Grid2D, laplacian_apply, max_norm
 from acbdf2.stepper import NewtonConfig, StepperState, bdf2_step
 from acbdf2.time_mesh import RATIO_CEILING, S0_LIMIT
+
+from conftest import peak_fields
 
 NEWTON = NewtonConfig()
 
@@ -357,16 +358,7 @@ class TestComparisonSolve:
                 anchor_lap=anchor_lap,
             )
 
-        level()
-        tracemalloc.start()
-        try:
-            start, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            level()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (peak - start) / state.u_prev.nbytes < 2.5
+        assert peak_fields(grid, level) < 2.5
 
     def test_start_gap_to_the_comparison_is_third_order(self):
         # constant data: the equation is u' = u - u^3, and the history is

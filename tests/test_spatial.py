@@ -2,7 +2,6 @@
 
 import math
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from acbdf2.spatial import (
     write_text_field,
 )
 
-from conftest import dense_laplacian
+from conftest import dense_laplacian, peak_fields
 
 
 class TestGrid2D:
@@ -142,19 +141,12 @@ class TestLaplacianKernel:
             laplacian_apply(u, 0.1, **bufs)
 
     def test_given_buffers_allocate_no_field(self, rng):
-        M = 128
-        u = rng.standard_normal((M, M))
+        grid = Grid2D(M=128, L=1.0)
+        u = rng.standard_normal((128, 128))
         out, scratch = np.empty_like(u), np.empty_like(u)
-        laplacian_apply(u, 0.1, out=out, scratch=scratch)
-        tracemalloc.start()
-        try:
-            start, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            laplacian_apply(u, 0.1, out=out, scratch=scratch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (peak - start) / u.nbytes < 0.5
+        assert peak_fields(
+            grid, lambda: laplacian_apply(u, grid.h, out=out, scratch=scratch)
+        ) < 0.5
 
 
 class TestNorms:

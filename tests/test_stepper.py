@@ -1,7 +1,6 @@
 """Newton solver, single-step advance, and the two energies."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from acbdf2.stepper import (
     spectral_preconditioner,
 )
 
-from conftest import dense_laplacian
+from conftest import dense_laplacian, peak_fields
 
 
 def residual_of(u, const, b0, grid, eps):
@@ -579,25 +578,6 @@ class TestExtrapolatedStart:
         mesh = random_mesh(40, 1.0, 1002)
         assert mesh.ratios.max() > 100.0
         self.compare(mesh)
-
-
-def peak_fields(grid, call):
-    """Peak memory a warmed ``call()`` allocates, in fields of ``grid``.
-
-    ``call`` runs once unmeasured first, so workspaces and caches exist;
-    tracemalloc sees numpy's data buffers, and the peak includes a root the
-    call returns.
-    """
-    tracemalloc.start()
-    try:
-        call()
-        start, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return (peak - start) / (8 * grid.M * grid.M)
 
 
 class TestWorkspace:
