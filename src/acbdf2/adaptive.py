@@ -1,7 +1,9 @@
 """Step-size controller driven by a one-step / two-step comparison.
 
 Each level is computed twice: once with the one-step scheme and once with
-the two-step scheme, from the same history.  Their relative distance
+the two-step scheme, from the same history.  The one-step solve starts
+from the state with its older levels dropped, which the stepper treats as
+a first level.  Their relative distance
 
     e = || u2 - u1 || / || u2 ||
 
@@ -60,7 +62,6 @@ import numpy as np
 
 from .spatial import Grid2D, l2_norm, max_norm
 from .stepper import NewtonConfig, StepRecord, StepperState, bdf2_step, workspace
-from .kernels import step_kernels
 from .time_mesh import RATIO_CEILING
 
 #: the share of ``tol`` by which the loose comparison solve may move ``e``
@@ -190,7 +191,9 @@ class AdvanceResult:
     record: StepRecord
     tau_next: float
     rejected: list[StepRecord]
-    newton_iters_onestep: int
+    #: Newton sweeps of every comparison solve of the level, rejected
+    #: trials included; the records count the other solves
+    comparison_sweeps: int
 
 
 def advance(
@@ -222,37 +225,31 @@ def advance(
     rejected: list[StepRecord] = []
     ws = workspace(grid)
     scratch = ws.scratch
+    # the state without its older levels: the one-step scheme
+    one_step = replace(state, u_prev2=None, u_prev3=None)
+    comparison_sweeps = 0
     for _ in range(cfg.max_rejects + 1):
         u2, iters2 = bdf2_step(
             state, tau, grid, eps, source_at, newton_cfg, anchor_lap=anchor_lap
         )
+        record = StepRecord.solved(state, tau, u2, iters2)
         if state.u_prev2 is None:
             # both schemes coincide on the starting level
-            iters1 = iters2
-            ratio = 0.0
             e = 0.0
         else:
-            ratio = tau / state.tau_prev
-            one_step = step_kernels(tau, 0.0)
             ref = solution_norm(u2, grid.h, cfg.norm, scratch)
-            tol1 = comparison_tol(ref, one_step.b0, grid, cfg, newton_cfg.tol)
-            start = comparison_start(state, ratio, u2, ws.compare_start)
+            # the one-step weight b0 is 1 / tau
+            tol1 = comparison_tol(ref, 1.0 / tau, grid, cfg, newton_cfg.tol)
+            start = comparison_start(state, record.ratio, u2, ws.compare_start)
             u1, iters1 = bdf2_step(
-                state, tau, grid, eps, source_at, replace(newton_cfg, tol=tol1),
-                anchor_lap=anchor_lap, kernels=one_step, start=start,
+                one_step, tau, grid, eps, source_at, replace(newton_cfg, tol=tol1),
+                anchor_lap=anchor_lap, start=start,
             )
+            comparison_sweeps += iters1
             e = error_estimate(u1, u2, ref, grid.h, cfg.norm, scratch)
-        record = StepRecord(
-            n=state.n + 1,
-            t=state.t + tau,
-            tau=tau,
-            ratio=ratio,
-            e_est=e,
-            accepted=e < cfg.tol,
-            newton_iters=iters2,
-            max_norm=max_norm(u2),
-        )
-        if e < cfg.tol:
+        record.e_est = e
+        record.accepted = e < cfg.tol
+        if record.accepted:
             tau_next = tau_ada(e, tau, cfg)
             if cfg.ratio_cap is not None:
                 tau_next = min(tau_next, cfg.ratio_cap * tau)
@@ -261,7 +258,7 @@ def advance(
                 record=record,
                 tau_next=tau_next,
                 rejected=rejected,
-                newton_iters_onestep=iters1,
+                comparison_sweeps=comparison_sweeps,
             )
         rejected.append(record)
         tau_next = tau_ada(e, tau, cfg)

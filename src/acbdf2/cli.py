@@ -63,7 +63,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(msg, file=sys.stderr)
         return EXIT_CONFIG
     try:
-        result = run_simulation(cfg, out_dir=cfg.output.dir)
+        result = run_simulation(cfg)
     except ConstraintAbort as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT

@@ -159,13 +159,14 @@ class _Run:
             self.eta, self.eps, self.grid.h,
         )
         self.records: list[StepRecord] = []
-        self.onestep_iters = 0
+        # Newton sweeps of the adaptive comparison solves, which no record holds
+        self.comparison_sweeps = 0
         self.schedule = sorted(cfg.output.snapshots)
         self.sched_idx = 0
         self.snapshots_written: list[str] = []
         u0, self.source_at, self.error_at = self._initial_state()
         self.err_inf = None if self.error_at is None else 0.0
-        self.state = StepperState(u_prev=u0, u_prev2=None, n=0, t=0.0, tau_prev=0.0)
+        self.state = StepperState(u_prev=u0, u_prev2=None, n=0, t=0.0)
         # record awaiting its modified-energy finalization
         self.pending: StepRecord | None = None
         # Laplacian of the current anchor state.u_prev: energy() leaves it
@@ -216,25 +217,12 @@ class _Run:
 
     def _mesh_levels(self):
         """Levels of a fixed mesh: one solve each, always accepted."""
-        mesh = self.mesh
-        times = mesh.times
-        for k in range(1, mesh.n_steps + 1):
-            tau = mesh.tau(k)
+        for tau in self.mesh.steps.tolist():
             u, iters = bdf2_step(
                 self.state, tau, self.grid, self.eps, self.source_at, self.cfg.newton,
                 anchor_lap=self.anchor_lap,
             )
-            rec = StepRecord(
-                n=k,
-                t=float(times[k]),
-                tau=tau,
-                ratio=mesh.ratio(k),
-                e_est=math.nan,
-                accepted=True,
-                newton_iters=iters,
-                max_norm=max_norm(u),
-            )
-            yield u, rec, [], 0
+            yield u, StepRecord.solved(self.state, tau, u, iters), [], 0
 
     def _controller_levels(self):
         """Levels the adaptive controller accepts, with its rejected trials."""
@@ -252,7 +240,7 @@ class _Run:
                 self.state, tau, self.grid, self.eps, acfg, cfg.newton, self.source_at,
                 anchor_lap=self.anchor_lap,
             )
-            yield res.u, res.record, res.rejected, res.newton_iters_onestep
+            yield res.u, res.record, res.rejected, res.comparison_sweeps
             tau = res.tau_next
 
     # -- bookkeeping -----------------------------------------------------
@@ -284,15 +272,7 @@ class _Run:
         self._finalize_pending(rec.ratio)
         self.records.append(rec)
         self.pending = rec
-        self.state = StepperState(
-            u_prev=u,
-            u_prev2=self.state.u_prev,
-            n=rec.n,
-            t=rec.t,
-            tau_prev=rec.tau,
-            u_prev3=self.state.u_prev2,
-            tau_prev2=self.state.tau_prev,
-        )
+        self.state = self.state.after(u, rec.tau)
         self.max_norm_overall = max(self.max_norm_overall, rec.max_norm)
         self.min_norm_overall = min(self.min_norm_overall, rec.max_norm)
         self.monitors.check(flags, ("s0", "s1", "max_principle"), rec.n)
@@ -316,11 +296,11 @@ class _Run:
         """Fold in every level the step source yields, then close the run."""
         self._maybe_snapshot(out_dir, 0.0, self.state.u_prev)
         levels = self._controller_levels() if self.mesh is None else self._mesh_levels()
-        for u, rec, rejected, onestep_iters in levels:
+        for u, rec, rejected, comparison_sweeps in levels:
             for rej in rejected:
                 self.monitors.evaluate(rej)
                 self.records.append(rej)
-            self.onestep_iters += onestep_iters
+            self.comparison_sweeps += comparison_sweeps
             self._accept(u, rec)
             self._maybe_snapshot(out_dir, rec.t, u)
         self._finalize_pending(0.0)
@@ -346,7 +326,7 @@ class _Run:
             "min_norm_overall": self.min_norm_overall,
             "newton_iters_median": float(statistics.median(iters)) if iters else 0.0,
             "newton_iters_total": sum(r.newton_iters for r in self.records)
-            + self.onestep_iters,
+            + self.comparison_sweeps,
             "constraint_violations": dict(self.monitors.counts),
             "first_violations": dict(self.monitors.first),
             "snapshots": list(self.snapshots_written),
@@ -362,20 +342,19 @@ class _Run:
         )
 
 
-def run_simulation(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
+def run_simulation(cfg: RunConfig) -> RunResult:
     """March a configured run and write its artifacts.
 
-    The artifact directory is ``out_dir`` when given, else the configured
-    ``output.dir``; an empty string suppresses artifacts entirely.  Partial
-    artifacts are still written when the march stops early (solver failure
-    or an enforced constraint), so failed runs leave evidence; the
-    exception then propagates to the caller.
+    The artifacts go to the configured ``output.dir``; an empty string
+    suppresses them entirely.  Partial artifacts are still written when
+    the march stops early (solver failure or an enforced constraint), so
+    failed runs leave evidence; the exception then propagates to the
+    caller.
     """
     run = _Run(cfg)
-    target = out_dir if out_dir is not None else cfg.output.dir
     out_path: Path | None = None
-    if target:
-        out_path = Path(target)
+    if cfg.output.dir:
+        out_path = Path(cfg.output.dir)
         out_path.mkdir(parents=True, exist_ok=True)
     try:
         run.march(out_path)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Bdf2Kernels, step_kernels
+from .kernels import step_kernels
 from .spatial import Grid2D, laplacian_apply, max_norm
 from .time_mesh import solvability_bound
 
@@ -99,13 +99,25 @@ class StepperState:
     u_prev3: np.ndarray | None = None
     tau_prev2: float = 0.0
 
+    def ratio(self, tau: float) -> float:
+        """Step ratio ``tau / tau_prev``; 0, the one-step scheme's, without ``u_prev2``."""
+        return 0.0 if self.u_prev2 is None else tau / self.tau_prev
+
+    def after(self, u: np.ndarray, tau: float) -> StepperState:
+        """The next state: ``u`` accepted after a step ``tau``, each level moved back."""
+        return StepperState(
+            u_prev=u, u_prev2=self.u_prev, n=self.n + 1, t=self.t + tau,
+            tau_prev=tau, u_prev3=self.u_prev2, tau_prev2=self.tau_prev,
+        )
+
 
 @dataclass
 class StepRecord:
     """Diagnostics of one attempted step; one CSV row of the run log.
 
-    The step sources fill the first eight fields; the run loop fills the
-    energies and the constraint flags.
+    :meth:`solved` fills the first eight fields, the adaptive controller
+    resets ``e_est`` and ``accepted``, and the run loop fills the energies
+    and the constraint flags.
     """
 
     n: int
@@ -120,6 +132,14 @@ class StepRecord:
     modified_energy: float = math.nan
     s0_ok: bool = False
     maxp_bound_ok: bool = False
+
+    @classmethod
+    def solved(cls, state: StepperState, tau: float, u: np.ndarray, sweeps: int) -> StepRecord:
+        """The accepted record of the level ``u`` solved from ``state`` in ``sweeps``."""
+        return cls(
+            n=state.n + 1, t=state.t + tau, tau=tau, ratio=state.ratio(tau),
+            e_est=math.nan, accepted=True, newton_iters=sweeps, max_norm=max_norm(u),
+        )
 
 
 #: Byte alignment of the workspace: one cache line.  ``malloc`` returns
@@ -485,19 +505,19 @@ def bdf2_step(
     cfg: NewtonConfig,
     *,
     anchor_lap: np.ndarray,
-    kernels: Bdf2Kernels | None = None,
     start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Advance one level from ``state`` with step size ``tau``.
 
-    Uses the two-step weights implied by ``state.tau_prev`` when the state
-    holds two levels (``state.u_prev2`` is set), the one-step weights
-    otherwise, or explicit ``kernels`` when the caller wants a specific
-    scheme, e.g. the one-step comparison solution of the adaptive
-    controller.  ``source_at(t)`` must return the source field at time
-    ``t``, or ``source_at`` is None for no source; it may return a buffer
-    it reuses, as this call reads it at once.  ``anchor_lap`` must hold
-    ``laplacian_apply(state.u_prev)``; see :func:`nonlinear_solve`.
+    The state alone picks the scheme: the weights of the ratio
+    ``state.ratio(tau)``, which are the two-step weights when the state
+    holds two levels (``state.u_prev2`` is set) and the one-step weights
+    otherwise.  The adaptive controller's one-step comparison is thus a
+    solve from the state without its older levels.  ``source_at(t)`` must
+    return the source field at time ``t``, or ``source_at`` is None for no
+    source; it may return a buffer it reuses, as this call reads it at
+    once.  ``anchor_lap`` must hold ``laplacian_apply(state.u_prev)``; see
+    :func:`nonlinear_solve`.
     Newton starts from ``start`` when given; it may share storage with no
     workspace field but ``compare_start``.  Otherwise it starts from the
     state's levels extrapolated to ``t + tau``: the quadratic through
@@ -508,17 +528,16 @@ def bdf2_step(
     Raises :class:`SolvabilityViolated` when ``tau`` is at or above the
     unique-solvability bound, :class:`NewtonDiverged` on iteration failure.
     """
-    two_levels = state.u_prev2 is not None
-    if kernels is None:
-        kernels = step_kernels(tau, tau / state.tau_prev if two_levels else 0.0)
-    if not kernels.tau < solvability_bound(kernels.ratio):
+    ratio = state.ratio(tau)
+    kernels = step_kernels(tau, ratio)
+    if not tau < solvability_bound(ratio):
         raise SolvabilityViolated(
-            f"tau = {kernels.tau:g} at ratio {kernels.ratio:g} reaches the "
-            f"solvability bound {solvability_bound(kernels.ratio):g}"
+            f"tau = {tau:g} at ratio {ratio:g} reaches the "
+            f"solvability bound {solvability_bound(ratio):g}"
         )
     ws = workspace(grid)
     const = ws.const
-    extrapolate = start is None and two_levels
+    extrapolate = start is None and state.u_prev2 is not None
     if kernels.b1 != 0.0 or extrapolate:
         # one history difference serves the constant and the start
         diff = np.subtract(state.u_prev, state.u_prev2, out=ws.start)
@@ -533,7 +552,6 @@ def bdf2_step(
         const += source_at(state.t + tau)
     if extrapolate:
         start = diff
-        ratio = tau / state.tau_prev
         if state.u_prev3 is None:
             start *= ratio
         else:

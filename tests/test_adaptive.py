@@ -1,6 +1,7 @@
 """Error estimator and the accept/shrink/grow controller."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ from acbdf2.adaptive import (
     tau_ada,
 )
 from acbdf2.config import parse_config
-from acbdf2.kernels import step_kernels
 from acbdf2.runner import run_simulation
 from acbdf2.spatial import Grid2D, laplacian_apply, max_norm
 from acbdf2.stepper import NewtonConfig, StepperState, bdf2_step
@@ -122,13 +122,7 @@ class TestAdvance:
             )
             rejects += len(res.rejected)
             taus.append(res.record.tau)
-            state = StepperState(
-                u_prev=res.u,
-                u_prev2=state.u_prev,
-                n=res.record.n,
-                t=res.record.t,
-                tau_prev=res.record.tau,
-            )
+            state = state.after(res.u, res.record.tau)
             tau = res.tau_next
         return state, taus, rejects
 
@@ -336,8 +330,8 @@ class TestComparisonSolve:
                 advance(state, tau, grid, eps, cfg, NEWTON, anchor_lap=anchor_lap)
             u2, _ = bdf2_step(state, tau, grid, eps, None, NEWTON, anchor_lap=anchor_lap)
             u1, _ = bdf2_step(
-                state, tau, grid, eps, None, NEWTON,
-                anchor_lap=anchor_lap, kernels=step_kernels(tau, 0.0),
+                replace(state, u_prev2=None), tau, grid, eps, None, NEWTON,
+                anchor_lap=anchor_lap,
             )
             scratch = np.empty_like(u2)
             ref = solution_norm(u2, grid.h, norm, scratch)
@@ -378,8 +372,8 @@ class TestComparisonSolve:
             anchor_lap = laplacian_apply(state.u_prev, grid.h)
             u2, _ = bdf2_step(state, tau, grid, eps, None, tight, anchor_lap=anchor_lap)
             u1, _ = bdf2_step(
-                state, tau, grid, eps, None, tight,
-                anchor_lap=anchor_lap, kernels=step_kernels(tau, 0.0),
+                replace(state, u_prev2=None), tau, grid, eps, None, tight,
+                anchor_lap=anchor_lap,
             )
             start = comparison_start(state, ratio, u2, np.empty_like(u2))
             gaps_u2.append(max_norm(u2 - u1))
@@ -400,9 +394,8 @@ class TestComparisonSolve:
             start = kwargs.get("start")
             kept = dict(kwargs, start=None if start is None else start.copy())
             u, iters = step(state, tau, *args, **kwargs)
-            kernels = kwargs.get("kernels")
-            one_step = kernels is not None and kernels.ratio == 0.0
-            if one_step and state.u_prev2 is not None:
+            # the comparison: a history-less state with a given start
+            if state.u_prev2 is None and start is not None:
                 grid, eps, source_at, _ = args
                 loose.append(iters)
                 tight.append(

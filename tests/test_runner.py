@@ -14,7 +14,7 @@ from acbdf2.kernels import choose_eta
 from acbdf2.runner import CSV_HEADER, ConstraintAbort, run_simulation
 from acbdf2.spatial import Grid2D, laplacian_apply, read_snapshot, write_snapshot
 from acbdf2.stepper import StepRecord, energy
-from acbdf2.time_mesh import RATIO_CEILING, S0_LIMIT, constraint_flags
+from acbdf2.time_mesh import RATIO_CEILING, S0_LIMIT, TimeMesh, constraint_flags
 
 BASE = """
 domain.L = 1.0
@@ -31,7 +31,9 @@ output.dir =
 
 
 def run_text(text, out_dir=None):
-    return run_simulation(parse_config(text), out_dir=out_dir)
+    if out_dir is not None:
+        text += f"output.dir = {out_dir}\n"
+    return run_simulation(parse_config(text))
 
 
 class TestUniformMarch:
@@ -76,6 +78,55 @@ class TestUniformMarch:
         res = run_text(BASE)
         me = [r.modified_energy for r in res.records]
         assert all(b <= a + 1e-14 for a, b in zip(me, me[1:]))
+
+
+class TestMeshRecords:
+    """A mesh run's records carry the mesh's node times and ratios, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "scheme, mesh",
+        [
+            ("time.scheme = uniform\ntime.tau = 2e-3\n", TimeMesh.uniform(1.0, 500)),
+            (
+                "time.scheme = random-mesh\ntime.n = 60\ntime.seed = 7\n",
+                random_mesh(60, 1.0, 7),
+            ),
+        ],
+        ids=["uniform", "random-mesh"],
+    )
+    def test_times_and_ratios_are_the_mesh_s(self, scheme, mesh):
+        text = BASE.replace("domain.M = 32", "domain.M = 8").replace(
+            "time.scheme = uniform\ntime.tau = 0.1\n", scheme
+        )
+        records = run_text(text).records
+        assert [r.t for r in records] == list(mesh.times[1:])
+        assert [r.ratio for r in records] == list(mesh.ratios)
+
+
+class TestNewtonTotal:
+    """``newton_iters_total`` counts every Newton solve of the run once."""
+
+    ADAPTIVE = BASE.replace("time.scheme = uniform", "time.scheme = adaptive").replace(
+        "time.T = 1.0", "time.T = 0.2"
+    ).replace("domain.M = 32", "domain.M = 16") + "adaptive.tol = 1e-4\n"
+
+    def test_total_is_the_sweeps_that_ran(self, monkeypatch):
+        sweeps = []
+        solve = stepper.nonlinear_solve
+
+        def counted(*args, **kwargs):
+            u, n = solve(*args, **kwargs)
+            sweeps.append(n)
+            return u, n
+
+        monkeypatch.setattr(stepper, "nonlinear_solve", counted)
+        for text in (self.ADAPTIVE, BASE):
+            sweeps.clear()
+            summary = run_text(text).summary
+            assert summary["newton_iters_total"] == sum(sweeps), summary["scheme"]
+            if text is self.ADAPTIVE:
+                # a rejected trial's comparison solve counts too
+                assert summary["rejected_steps"] >= 1
 
 
 class TestArtifacts:

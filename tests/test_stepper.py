@@ -333,10 +333,7 @@ class TestNewtonStops:
                 assert laps["outside_cg"] == 1
             ref, _ = bdf2_step(state, tau, grid, eps, None, tight, anchor_lap=anchor_lap)
             assert max_norm(u - ref) <= 10.0 * cfg.tol
-            state = StepperState(
-                u_prev=u, u_prev2=state.u_prev, n=state.n + 1,
-                t=state.t + tau, tau_prev=tau,
-            )
+            state = state.after(u, tau)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -425,13 +422,13 @@ class TestBdf2Step:
         self.step(self.first_state(u0), 0.25, source_at)
         assert seen == [0.25]
 
-    def test_explicit_kernels_override_history(self, rng):
-        u_prev2 = 0.3 * rng.uniform(-1.0, 1.0, (16, 16))
+    def test_historyless_state_takes_the_one_step_weights(self, rng):
+        # the adaptive comparison's state: past the first level, no u_prev2
         u_prev = 0.3 * rng.uniform(-1.0, 1.0, (16, 16))
-        state = StepperState(u_prev=u_prev, u_prev2=u_prev2, n=2, t=0.2, tau_prev=0.1)
+        state = StepperState(u_prev=u_prev, u_prev2=None, n=2, t=0.2, tau_prev=0.1)
         tau = 0.1
-        u, _ = self.step(state, tau, kernels=step_kernels(tau, 0.0))
-        back_diff = (u - u_prev) / tau  # one-step form despite two histories
+        u, _ = self.step(state, tau)
+        back_diff = (u - u_prev) / tau  # one-step form despite tau_prev
         rhs = self.EPS**2 * laplacian_apply(u, self.GRID.h) - (u**3 - u)
         np.testing.assert_allclose(back_diff, rhs, rtol=0.0, atol=1e-10)
 
@@ -507,11 +504,7 @@ class TestExtrapolatedStart:
                 anchor_lap=laplacian_apply(state.u_prev, self.GRID.h),
             )
             levels.append((u, sweeps))
-            state = StepperState(
-                u_prev=u, u_prev2=state.u_prev, n=state.n + 1,
-                t=state.t + tau, tau_prev=tau,
-                u_prev3=state.u_prev2, tau_prev2=state.tau_prev,
-            )
+            state = state.after(u, tau)
         return levels
 
     def compare(self, mesh):
@@ -597,7 +590,7 @@ class TestWorkspace:
         u0 = four_bubble_init(self.GRID, self.EPS)
         first = StepperState(u_prev=u0, u_prev2=None, n=0, t=0.0)
         u1, _ = self.step(first, laplacian_apply(u0, self.GRID.h))
-        return StepperState(u_prev=u1, u_prev2=u0, n=1, t=self.TAU, tau_prev=self.TAU)
+        return first.after(u1, self.TAU)
 
     def test_warm_two_step_allocates_only_its_root(self):
         state = self.two_step_state()
@@ -609,10 +602,8 @@ class TestWorkspace:
         # the quadratic start is formed in the workspace too
         state = self.two_step_state()
         u2, _ = self.step(state, laplacian_apply(state.u_prev, self.GRID.h))
-        state = StepperState(
-            u_prev=u2, u_prev2=state.u_prev, n=2, t=2 * self.TAU, tau_prev=self.TAU,
-            u_prev3=state.u_prev2, tau_prev2=self.TAU,
-        )
+        state = state.after(u2, self.TAU)
+        assert state.u_prev3 is not None
         anchor_lap = laplacian_apply(state.u_prev, self.GRID.h)
         fields = peak_fields(self.GRID, lambda: self.step(state, anchor_lap))
         assert fields < 1.5
@@ -639,9 +630,7 @@ class TestWorkspace:
         state = self.two_step_state()
         u2, _ = self.step(state, laplacian_apply(state.u_prev, self.GRID.h))
         kept = u2.copy()
-        state = StepperState(
-            u_prev=u2, u_prev2=state.u_prev, n=2, t=2 * self.TAU, tau_prev=self.TAU
-        )
+        state = state.after(u2, self.TAU)
         u3, _ = self.step(state, laplacian_apply(u2, self.GRID.h))
         assert not np.shares_memory(u2, u3)
         np.testing.assert_array_equal(u2, kept)

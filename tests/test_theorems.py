@@ -81,16 +81,18 @@ def steps_within(ratios, bounds):
 
 
 def march(u0, steps, grid, eps):
-    """Every level of a march over ``steps``, ``u0`` first."""
+    """Every level of a march over ``steps``, ``u0`` first.
+
+    The state moves on as the runner's does, so the solves start from the
+    runner's predictors.
+    """
     state = StepperState(u_prev=u0, u_prev2=None, n=0, t=0.0)
     levels = [u0]
     for tau in steps:
         anchor_lap = laplacian_apply(state.u_prev, grid.h)
         u, _ = bdf2_step(state, tau, grid, eps, None, CFG, anchor_lap=anchor_lap)
         levels.append(u)
-        state = StepperState(
-            u_prev=u, u_prev2=state.u_prev, n=state.n + 1, t=state.t + tau, tau_prev=tau,
-        )
+        state = state.after(u, tau)
     return levels
 
 
