@@ -69,7 +69,17 @@ KAPPA = 1e-3
 
 
 class TooManyRejects(RuntimeError):
-    """A level kept failing the accuracy test after the allowed retries."""
+    """A level kept failing the accuracy test after the allowed retries.
+
+    Carries the level's work as :class:`AdvanceResult` does: the records
+    of its rejected trials and the sweeps of their comparison solves, so
+    the run can log them before it fails.
+    """
+
+    def __init__(self, message: str, rejected: list[StepRecord], comparison_sweeps: int):
+        super().__init__(message)
+        self.rejected = rejected
+        self.comparison_sweeps = comparison_sweeps
 
 
 class ZeroReference(RuntimeError):
@@ -217,8 +227,9 @@ def advance(
     flags of every record (the modified energy needs the following ratio,
     which is unknown until the next level is accepted).
 
-    Raises :class:`TooManyRejects` after ``max_rejects`` rejections, or as
-    soon as the next trial would repeat the rejected one: at the step floor
+    Raises :class:`TooManyRejects`, which carries the rejected records and
+    comparison sweeps, after ``max_rejects`` rejections, or as soon as the
+    next trial would repeat the rejected one: at the step floor
     ``tau_ada`` clamps back to ``tau_min``, and the identical solve would
     fail identically.
     """
@@ -267,5 +278,7 @@ def advance(
         tau = tau_next
     raise TooManyRejects(
         f"level {state.n + 1} rejected {len(rejected)} times "
-        f"(last e = {e:g} at tau = {rejected[-1].tau:g})"
+        f"(last e = {e:g} at tau = {rejected[-1].tau:g})",
+        rejected,
+        comparison_sweeps,
     )

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import advance
+from .adaptive import TooManyRejects, advance
 from .config import (
     ConstraintPolicy,
     DomainConfig,
@@ -236,10 +236,15 @@ class _Run:
         end_slack = 1e-12 * max(1.0, T)
         while self.state.t < T - end_slack:
             tau = min(tau, T - self.state.t)  # clip the final step to land on T
-            res = advance(
-                self.state, tau, self.grid, self.eps, acfg, cfg.newton, self.source_at,
-                anchor_lap=self.anchor_lap,
-            )
+            try:
+                res = advance(
+                    self.state, tau, self.grid, self.eps, acfg, cfg.newton, self.source_at,
+                    anchor_lap=self.anchor_lap,
+                )
+            except TooManyRejects as exc:
+                # the failed level's trials ran: log them before failing
+                self._reject(exc.rejected, exc.comparison_sweeps)
+                raise
             yield res.u, res.record, res.rejected, res.comparison_sweeps
             tau = res.tau_next
 
@@ -261,6 +266,13 @@ class _Run:
         flags = self.monitors.evaluate(rec, ratio_next)
         self.monitors.check(flags, ("energy_law",), rec.n)
         self.pending = None
+
+    def _reject(self, rejected: list[StepRecord], comparison_sweeps: int) -> None:
+        """Log a level's rejected trials and count its comparison sweeps."""
+        for rej in rejected:
+            self.monitors.evaluate(rej)
+            self.records.append(rej)
+        self.comparison_sweeps += comparison_sweeps
 
     def _accept(self, u: np.ndarray, rec: StepRecord) -> None:
         """Fold an accepted level into the march state."""
@@ -297,10 +309,7 @@ class _Run:
         self._maybe_snapshot(out_dir, 0.0, self.state.u_prev)
         levels = self._controller_levels() if self.mesh is None else self._mesh_levels()
         for u, rec, rejected, comparison_sweeps in levels:
-            for rej in rejected:
-                self.monitors.evaluate(rej)
-                self.records.append(rej)
-            self.comparison_sweeps += comparison_sweeps
+            self._reject(rejected, comparison_sweeps)
             self._accept(u, rec)
             self._maybe_snapshot(out_dir, rec.t, u)
         self._finalize_pending(0.0)

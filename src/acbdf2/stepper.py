@@ -15,10 +15,12 @@ picked per linear solve by a fixed condition-number rule
 (:func:`spectral_pays`): Jacobi when the reaction term dominates the
 operator, as on the phase-field runs, and the FFT inverse of its
 constant-coefficient part when diffusion dominates, as in the fine-grid
-accuracy runs.  Newton starts from the quadratic through the last three
-levels, evaluated at the new time: the order-2 predictor of variable-step
-BDF codes (Hairer, Norsett & Wanner, Solving ODEs I, III.5-III.7), whose
-error is third order in the step.  With two levels it starts from the
+accuracy runs.  On the Jacobi side an even grid eliminates its black
+points and runs CG on the red ones alone (:func:`_jacobi_pcg`).  Newton
+starts from the quadratic through the last three levels, evaluated at
+the new time: the order-2 predictor of variable-step BDF codes (Hairer,
+Norsett & Wanner, Solving ODEs I, III.5-III.7), whose error is third
+order in the step.  With two levels it starts from the
 linear extrapolation ``u^n + r (u^n - u^{n-1})``, ``r = tau / tau_prev``,
 and on the first level from ``u^n``.  A caller may pass its own start, as
 the adaptive controller does for its one-step comparison.
@@ -203,6 +205,10 @@ class Workspace:
     * These four are dead once :func:`nonlinear_solve` has formed ``base``
       and ``w``, before :func:`_pcg` first writes ``r``, ``z``, ``p`` and
       ``ap``.
+    * On an even grid :class:`RedBlack` carves the half-grid fields of the
+      reduced solve from ``diag``, ``lap``, ``scratch``, ``r``, ``z``, ``p``
+      and ``ap``, which that solve leaves otherwise unused; it reads
+      ``react`` and ``residual`` and writes ``delta``.
     """
 
     def __init__(self, M: int):
@@ -230,6 +236,120 @@ def workspace(grid: Grid2D) -> Workspace:
     return ws
 
 
+class RedBlack:
+    """Half-grid fields of the red-black reduced system on an even grid.
+
+    Red points are those with ``i + j`` even.  A half-grid field is
+    ``(2, M // 2, M // 2)``, indexed by row parity, row pair and column
+    pair: a red one holds ``R[a, q, k] = u[2 q + a, 2 k + a]`` and a black
+    one ``K[a, q, k] = u[2 q + a, 2 k + 1 - a]``.  Each row parity is then
+    a contiguous block, and every neighbour lies one flat shift away within
+    a block (:func:`_neighbour_sum`).  Each field is one half of a
+    :class:`Workspace` field that is dead while :func:`_jacobi_pcg` solves
+    the reduced system, so the reduction allocates nothing:
+
+    * ``d_r``, ``d_b`` (halves of ``diag``, together ``d``): the diagonal
+      ``D = react + 4 c`` on each colour.
+    * ``g`` (with ``scratch``): ``c / D_b``, the black weight of
+      :meth:`couple`.
+    * ``b_s`` (with ``p``), ``b_b`` (with ``r``): the reduced right side
+      and the black right side, kept for the back-substitution.
+    * ``x`` (with ``z``): the red solution.
+    * ``r``, ``z``, ``p``, ``ap``, ``lap``, ``scratch``: :func:`_pcg`'s
+      work fields, red, each the first half of the field of that name.
+    * ``t`` (with ``lap``): the black temporary of :meth:`couple` and of
+      the back-substitution.
+    * ``black_of_p``, ``red_of_t``: the neighbour sums ``t = B^T p`` and
+      ``lap = B t``, as :func:`_neighbour_sum` prepares them.
+    """
+
+    def __init__(self, ws: Workspace, M: int):
+        shape = (2, 2, M // 2, M // 2)
+        self.d = ws.diag.reshape(shape)
+        self.d_r, self.d_b = self.d
+        self.lap, self.t = ws.lap.reshape(shape)
+        self.scratch, self.g = ws.scratch.reshape(shape)
+        self.r, self.b_b = ws.r.reshape(shape)
+        self.z, self.x = ws.z.reshape(shape)
+        self.p, self.b_s = ws.p.reshape(shape)
+        self.ap = ws.ap.reshape(shape)[0]
+        self.black_of_p = _neighbour_sum(self.p, self.t, to_red=False)
+        self.red_of_t = _neighbour_sum(self.t, self.lap, to_red=True)
+
+    def couple(self) -> None:
+        """``lap = B (c / D_b) B^T p``: red to black, weighted, back to red."""
+        _add_all(self.black_of_p)
+        self.t *= self.g
+        _add_all(self.red_of_t)
+
+
+def red_black(grid: Grid2D) -> RedBlack:
+    """The even grid's :class:`RedBlack`, built on first use over its :class:`Workspace`."""
+    rb = grid.work.get(RedBlack)
+    if rb is None:
+        rb = grid.work[RedBlack] = RedBlack(workspace(grid), grid.M)
+    return rb
+
+
+def _split(u: np.ndarray, red: np.ndarray, black: np.ndarray) -> None:
+    """Copy the red and black points of the grid field ``u`` into half-grid fields."""
+    half = u.shape[0] // 2
+    # [row pair, row parity, column pair, column parity]
+    quad = u.reshape(half, 2, half, 2)
+    np.copyto(red[0], quad[:, 0, :, 0])
+    np.copyto(red[1], quad[:, 1, :, 1])
+    np.copyto(black[0], quad[:, 0, :, 1])
+    np.copyto(black[1], quad[:, 1, :, 0])
+
+
+def _merge(red: np.ndarray, black: np.ndarray, out: np.ndarray) -> None:
+    """Write the half-grid fields ``red`` and ``black`` into the grid field ``out``."""
+    half = out.shape[0] // 2
+    quad = out.reshape(half, 2, half, 2)
+    np.copyto(quad[:, 0, :, 0], red[0])
+    np.copyto(quad[:, 1, :, 1], red[1])
+    np.copyto(quad[:, 0, :, 1], black[0])
+    np.copyto(quad[:, 1, :, 0], black[1])
+
+
+def _neighbour_sum(v: np.ndarray, out: np.ndarray, *, to_red: bool) -> tuple:
+    """The additions that write into ``out`` each point's four-neighbour sum in ``v``.
+
+    The neighbours have the other colour: ``v`` is a black half-grid field
+    and ``out = B v`` red when ``to_red``; otherwise ``v`` is red and ``out
+    = B^T v`` black.  Beside a point in column pair ``k`` lie pairs ``k``
+    and ``k - 1`` of its own row (even rows of a red field, odd rows of a
+    black one) or ``k`` and ``k + 1``.  Above and below it lie column pair
+    ``k`` of the other parity's row pairs ``q - 1`` and ``q`` (even rows)
+    or ``q`` and ``q + 1`` (odd rows).  Every term is a flat shift of a
+    contiguous block, with the wrap-around column or row fixed after, as in
+    :func:`acbdf2.spatial.laplacian_apply`: a strided two-dimensional
+    slice would make numpy allocate iterator buffers on every call.  The
+    additions are ``(a, b, out)`` triples for :func:`_add_all`, built once
+    per grid: making their views on every call took about a third of the
+    sum's time at M = 128.
+    """
+    ops = []
+    for o, x, left in ((out[0], v[0], to_red), (out[1], v[1], not to_red)):
+        of, xf = o.reshape(-1), x.reshape(-1)
+        if left:
+            ops += [(xf[:-1], xf[1:], of[1:]), (x[:, -1], x[:, 0], o[:, 0])]
+        else:
+            ops += [(xf[:-1], xf[1:], of[:-1]), (x[:, -1], x[:, 0], o[:, -1])]
+    (even, odd), (v_even, v_odd) = out, v
+    ops += [
+        (even, v_odd, even), (even[1:], v_odd[:-1], even[1:]), (even[0], v_odd[-1], even[0]),
+        (odd, v_even, odd), (odd[:-1], v_even[1:], odd[:-1]), (odd[-1], v_even[0], odd[-1]),
+    ]
+    return tuple(ops)
+
+
+def _add_all(ops: tuple) -> None:
+    """Run the additions ``out = a + b`` of :func:`_neighbour_sum`, in order."""
+    for a, b, out in ops:
+        np.add(a, b, out=out)
+
+
 #: Cost of one spectrally preconditioned CG iteration, in Jacobi CG
 #: iterations.  A Jacobi iteration makes about 48 passes over the field (17
 #: of them in the Laplacian).  The spectral one swaps the 3-pass division
@@ -238,7 +358,14 @@ def workspace(grid: Grid2D) -> Workspace:
 #: the 3.0 set when the Laplacian made 31 passes: at 3.4 the manufactured
 #: solution's steps whose reaction bound ``hi`` lies between about 630 and
 #: 830 would move from the spectral preconditioner to Jacobi and change
-#: their output bits, and no timing of those steps has been taken.
+#: their output bits, and no timing of those steps has been taken.  On an
+#: even grid the Jacobi side is the red-black reduced solve
+#: (:func:`_jacobi_pcg`), which needs fewer and cheaper iterations than
+#: the rule assumes.  The rule is kept because it still picks the faster
+#: solve: on systems like the manufactured solution's at M = 256 (b0 =
+#: 20, 60, 200, one core), the spectral solve took 6, 5 and 4 iterations
+#: where the reduced one took about 105, 60 and 35, and it was 3.5, 2.5
+#: and 1.7 times as fast.
 SPECTRAL_COST = 3.0
 
 
@@ -252,7 +379,10 @@ def spectral_pays(lo: float, hi: float, e2: float, h: float) -> bool:
     ``kappa <= hi / lo``, at :data:`SPECTRAL_COST` times the price per
     iteration.  At a cost of 3 the rule reads: spectral when the diffusion
     number ``e2 / h^2`` exceeds ``hi``.  The answer depends on the inputs
-    alone, never on a timing, so reruns take the same path.
+    alone, never on a timing, so reruns take the same path.  False sends
+    the solve to :func:`_jacobi_pcg`, which on an even grid solves the
+    better-conditioned red-black reduced system; see :data:`SPECTRAL_COST`
+    for why the rule stands.
     """
     if lo <= 0.0:
         return False
@@ -302,27 +432,35 @@ def _pcg(
     *,
     out: np.ndarray,
     atol: float,
+    b_norm: float | None = None,
 ) -> np.ndarray:
-    """Preconditioned CG on ``react v - e2 Lap v = b``, zero guess.
+    """Preconditioned CG on ``react v - e2 C v = b``, zero guess.
 
-    ``react`` is the pointwise reaction coefficient ``b0 - 1 + 3 u^2``; the
-    operator is SPD for ``b0 > 1``.  ``precond(r, out)`` writes the
-    preconditioned residual into ``out``.  Stops at the first iterate whose
-    recurrence residual meets ``||residual||_2 <= max(rtol ||b||_2, atol)``;
-    the absolute stop ``atol`` keeps Newton from solving a correction far
-    below what its next residual test can see.  The solution goes into
-    ``out``.  The iteration runs in the grid workspace's ``r``, ``z``,
-    ``p``, ``ap``, ``lap`` and ``scratch`` and allocates nothing, per
-    iteration or per call.
+    On a grid field ``b``, ``C`` is the Laplacian and ``react`` the
+    pointwise reaction coefficient ``b0 - 1 + 3 u^2``; the operator is SPD
+    for ``b0 > 1``.  On a red half-grid field ``b`` (see :class:`RedBlack`),
+    ``C`` is the coupling :meth:`RedBlack.couple` that eliminating the
+    black points leaves, with the black weights :func:`_jacobi_pcg` sets,
+    and ``react`` the red diagonal.  ``precond(r,
+    out)`` writes the preconditioned residual into ``out``.  Stops at the
+    first iterate whose recurrence residual meets ``||residual||_2 <=
+    max(rtol b_norm, atol)``, where ``b_norm`` defaults to ``||b||_2``; the
+    absolute stop ``atol`` keeps Newton from solving a correction far below
+    what its next residual test can see.  The solution goes into ``out``.
+    The iteration runs in the work fields of the grid's :class:`Workspace`
+    or :class:`RedBlack`, ``r``, ``z``, ``p``, ``ap``, ``lap`` and
+    ``scratch``, and allocates nothing, per iteration or per call.
     """
     h = grid.h
-    ws = workspace(grid)
+    full = b.shape == (grid.M, grid.M)
+    ws = workspace(grid) if full else red_black(grid)
     bf = b.ravel()
-    b_norm = math.sqrt(float(np.dot(bf, bf)))
+    # the residual of the zero guess
+    r0 = math.sqrt(float(np.dot(bf, bf)))
     x = out
     x.fill(0.0)
-    target = max(rtol * b_norm, atol)
-    if b_norm <= target:
+    target = max(rtol * (r0 if b_norm is None else b_norm), atol)
+    if r0 <= target:
         return x
     r, z, p, ap, lap, scratch = ws.r, ws.z, ws.p, ws.ap, ws.lap, ws.scratch
     np.copyto(r, b)
@@ -334,7 +472,10 @@ def _pcg(
     apf = ap.ravel()
     rz = float(np.dot(rf, zf))
     for _ in range(max_iter):
-        laplacian_apply(p, h, out=lap, scratch=scratch)
+        if full:
+            laplacian_apply(p, h, out=lap, scratch=scratch)
+        else:
+            ws.couple()
         np.multiply(react, p, out=ap)
         lap *= e2
         ap -= lap
@@ -351,6 +492,78 @@ def _pcg(
         p += z
         rz = rz_new
     raise NewtonDiverged("inner linear solve stalled")
+
+
+def _jacobi(diag: np.ndarray):
+    """Jacobi preconditioner ``out = r / diag``, as ``apply(r, out)``."""
+
+    def apply(r: np.ndarray, out: np.ndarray) -> None:
+        np.divide(r, diag, out=out)
+
+    return apply
+
+
+def _jacobi_pcg(
+    react: np.ndarray,
+    e2: float,
+    grid: Grid2D,
+    b: np.ndarray,
+    rtol: float,
+    max_iter: int,
+    *,
+    out: np.ndarray,
+    atol: float,
+) -> np.ndarray:
+    """Solve ``react v - e2 Lap v = b`` into ``out`` by Jacobi-preconditioned CG.
+
+    Write ``c = e2 / h^2`` and ``D = react + 4 c``, the operator's
+    diagonal.  The five-point stencil couples a red point (``i + j`` even)
+    only to black ones, so on an even grid the operator is ``[[D_r, -c B],
+    [-c B^T, D_b]]`` with ``B`` the red-from-black neighbour sum
+    (:func:`_neighbour_sum`), and the black unknowns are eliminated
+    exactly (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed.,
+    SIAM 2003): CG solves the Schur complement ``S x_r = D_r x_r -
+    c^2 B D_b^-1 B^T x_r = b_r + c B D_b^-1 b_b`` on the red points,
+    Jacobi-preconditioned by ``D_r``, and ``x_b = D_b^-1 (b_b + c B^T
+    x_r)``.  With ``mu = 4 c / min D`` the Jacobi condition number drops
+    from ``(1 + mu) / (1 - mu)`` to ``1 / (1 - mu^2)``, on half the points.
+    The black rows of the full residual are zero by construction and the
+    red rows are CG's residual, so the stop ``max(rtol ||b||_2, atol)`` on
+    the reduced residual is the full system's stop.  A periodic grid with
+    odd ``M`` cannot be two-coloured; there CG runs on the whole field,
+    Jacobi-preconditioned by ``D``.
+    """
+    c = e2 / (grid.h * grid.h)
+    if grid.M % 2:
+        diag = workspace(grid).diag
+        np.add(react, 4.0 * c, out=diag)
+        return _pcg(
+            react, e2, grid, b, _jacobi(diag), rtol, max_iter, out=out, atol=atol
+        )
+    rb = red_black(grid)
+    _split(react, rb.d_r, rb.d_b)
+    rb.d += 4.0 * c
+    np.divide(c, rb.d_b, out=rb.g)
+    bf = b.ravel()
+    b_norm = math.sqrt(float(np.dot(bf, bf)))
+    # the reduced right side c B D_b^-1 b_b + b_r, formed in b_s
+    _split(b, rb.b_s, rb.b_b)
+    np.multiply(rb.g, rb.b_b, out=rb.t)
+    _add_all(rb.red_of_t)
+    rb.b_s += rb.lap
+    x_r = _pcg(
+        rb.d_r, c, grid, rb.b_s, _jacobi(rb.d_r), rtol, max_iter,
+        out=rb.x, atol=atol, b_norm=b_norm,
+    )
+    # back-substitution: x_b = (b_b + c B^T x_r) / D_b
+    np.copyto(rb.p, x_r)
+    _add_all(rb.black_of_p)
+    x_b = rb.t
+    x_b *= c
+    x_b += rb.b_b
+    x_b /= rb.d_b
+    _merge(x_r, x_b, out)
+    return out
 
 
 def finishes(res: float, u_max: float, b0: float, tol: float) -> bool:
@@ -419,7 +632,8 @@ def nonlinear_solve(
     evaluating that residual.  Only the rounding of the residual
     evaluation could make it miss.  Each linear solve takes the
     preconditioner :func:`spectral_pays` picks for its reaction range; the
-    spectral one is built once per solve.
+    spectral one is built once per solve, and the Jacobi side runs
+    :func:`_jacobi_pcg`, on the red points alone where ``M`` is even.
 
     Everything but the returned root lives in the grid's :class:`Workspace`.
     ``u0``, ``const`` and ``anchor_lap`` are read only before the first
@@ -429,10 +643,7 @@ def nonlinear_solve(
     e2 = eps * eps
     ws = workspace(grid)
     lap, scratch, residual = ws.lap, ws.scratch, ws.residual
-    react, diag, w, base = ws.react, ws.diag, ws.w, ws.base
-
-    def jacobi(r: np.ndarray, out: np.ndarray) -> None:
-        np.divide(r, diag, out=out)
+    react, w, base = ws.react, ws.w, ws.base
 
     # base residual at w = 0: everything that does not move with w
     np.subtract(u0, anchor, out=w)
@@ -479,20 +690,21 @@ def nonlinear_solve(
         np.multiply(u, u, out=react)
         react *= 3.0
         react += b0 - 1.0
+        np.negative(residual, out=residual)
         if spectral_pays(b0 - 1.0, float(react.max()), e2, h):
             # its symbol depends on b0 alone: built once, on the first
             # sweep that picks it
             if spectral is None:
                 spectral = spectral_preconditioner(grid, b0 - 1.0, e2)
-            precond = spectral
+            w += _pcg(
+                react, e2, grid, residual, spectral, rtol_k, LIN_MAX_ITER,
+                out=ws.delta, atol=0.5 * cfg.tol,
+            )
         else:
-            np.add(react, 4.0 * e2 / (h * h), out=diag)
-            precond = jacobi
-        np.negative(residual, out=residual)
-        w += _pcg(
-            react, e2, grid, residual, precond, rtol_k, LIN_MAX_ITER,
-            out=ws.delta, atol=0.5 * cfg.tol,
-        )
+            w += _jacobi_pcg(
+                react, e2, grid, residual, rtol_k, LIN_MAX_ITER,
+                out=ws.delta, atol=0.5 * cfg.tol,
+            )
     raise NewtonDiverged(f"no convergence in {cfg.max_iter} Newton sweeps")
 
 

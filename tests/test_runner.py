@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from acbdf2 import runner, stepper
+from acbdf2.adaptive import TooManyRejects
 from acbdf2.config import parse_config
 from acbdf2.experiments import coarsening_init, random_mesh
 from acbdf2.kernels import choose_eta
@@ -127,6 +128,35 @@ class TestNewtonTotal:
             if text is self.ADAPTIVE:
                 # a rejected trial's comparison solve counts too
                 assert summary["rejected_steps"] >= 1
+
+
+    def test_a_failed_level_logs_its_trials(self, monkeypatch, tmp_path):
+        # level 3 is rejected twice and ends the run; its two trial rows and
+        # all their sweeps, comparisons included, still reach the artifacts
+        sweeps = []
+        solve = stepper.nonlinear_solve
+
+        def counted(*args, **kwargs):
+            u, n = solve(*args, **kwargs)
+            sweeps.append(n)
+            return u, n
+
+        monkeypatch.setattr(stepper, "nonlinear_solve", counted)
+        text = BASE.replace("domain.M = 32", "domain.M = 16").replace(
+            "time.scheme = uniform", "time.scheme = adaptive"
+        ).replace("time.T = 1.0", "time.T = 0.2")
+        text += "adaptive.tol = 1e-7\nadaptive.max_rejects = 1\n"
+        with pytest.raises(TooManyRejects, match="level 3 rejected 2 times"):
+            run_text(text, out_dir=str(tmp_path))
+        rows = (tmp_path / "steps.csv").read_text().splitlines()[1:]
+        cells = [row.split(",") for row in rows]
+        assert [(cell[0], cell[5]) for cell in cells] == [
+            ("1", "true"), ("2", "false"), ("2", "true"), ("3", "false"), ("3", "false")
+        ]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        # nine solves: two per trial after the first level
+        assert len(sweeps) == 9
+        assert summary["newton_iters_total"] == sum(sweeps)
 
 
 class TestArtifacts:

@@ -14,6 +14,7 @@ from acbdf2.stepper import (
     NewtonDiverged,
     SolvabilityViolated,
     StepperState,
+    _jacobi_pcg,
     _pcg,
     bdf2_step,
     energy,
@@ -376,6 +377,70 @@ class TestNewtonStops:
                 )
                 assert again == 1, (seed, b0)
         assert fired >= 40
+
+
+class TestRedBlack:
+    """On even grids the Jacobi solve runs CG on the red points only.
+
+    ``_jacobi_pcg`` eliminates the black points, solves the reduced system
+    through ``_pcg`` and back-substitutes; the result must solve the full
+    system, which is assembled here independently of the package.
+    """
+
+    C = 1.0  # diffusion number e2 / h^2; the reaction term dominates
+
+    def system(self, rng, M):
+        grid = Grid2D(M=M, L=1.0)
+        e2 = self.C * grid.h**2
+        react = 1.0 + 3.0 * rng.uniform(-1.0, 1.0, (M, M)) ** 2
+        A = np.diag(react.ravel()) - e2 * dense_laplacian(M, grid.h)
+        return grid, e2, react, A, rng.standard_normal((M, M))
+
+    @pytest.mark.parametrize("M", [2, 4, 6, 8])
+    def test_matches_a_dense_solve(self, rng, M):
+        grid, e2, react, A, b = self.system(rng, M)
+        expect = np.linalg.solve(A, b.ravel()).reshape(M, M)
+        got = _jacobi_pcg(
+            react, e2, grid, b, 1e-14, 100, out=np.empty_like(b), atol=0.0
+        )
+        np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("M", [2, 4, 6, 8])
+    def test_returns_at_the_absolute_stop(self, rng, M):
+        grid, e2, react, A, b = self.system(rng, M)
+        atol = 1e-6
+        n, x = TestNewtonStops.iterations(
+            lambda k: _jacobi_pcg(
+                react, e2, grid, b, 1e-14, k, out=np.empty_like(b), atol=atol
+            )
+        )
+        if n < M * M // 2:  # CG has not yet run out of red unknowns
+            with pytest.raises(NewtonDiverged):
+                _jacobi_pcg(
+                    react, e2, grid, b, 1e-14, n, out=np.empty_like(b), atol=0.0
+                )
+        # the full system's residual, black rows included
+        true_res = b.ravel() - A @ x.ravel()
+        assert np.sqrt(np.sum(true_res**2)) <= 1.001 * atol
+
+    @pytest.mark.parametrize("M", [16, 15])
+    def test_only_odd_grids_run_cg_on_the_whole_field(self, monkeypatch, rng, M):
+        shapes = []
+        pcg = stepper._pcg
+
+        def recorded(react, e2, grid, b, *args, **kwargs):
+            shapes.append(b.shape)
+            return pcg(react, e2, grid, b, *args, **kwargs)
+
+        monkeypatch.setattr(stepper, "_pcg", recorded)
+        grid = Grid2D(M=M, L=1.0)
+        anchor = rng.uniform(-1.0, 1.0, (M, M))
+        nonlinear_solve(
+            anchor, np.ones_like(anchor), 3.0, grid, 0.05, NewtonConfig(),
+            anchor=anchor, anchor_lap=laplacian_apply(anchor, grid.h),
+        )
+        reduced = (2, M // 2, M // 2) if M % 2 == 0 else (M, M)
+        assert shapes and set(shapes) == {reduced}
 
 
 class TestBdf2Step:
