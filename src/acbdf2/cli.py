@@ -92,6 +92,9 @@ def _cmd_mms(args: argparse.Namespace) -> int:
     if not n_list or not seeds or min(n_list) < 1:
         print("need at least one positive step count and one seed", file=sys.stderr)
         return EXIT_CONFIG
+    if min(seeds) < 0:
+        print("--seeds cannot be negative", file=sys.stderr)
+        return EXIT_CONFIG
     if args.m < 2:
         print("--m must be at least 2", file=sys.stderr)
         return EXIT_CONFIG
@@ -122,6 +125,9 @@ def _cmd_mms(args: argparse.Namespace) -> int:
 def _cmd_check_kernels(args: argparse.Namespace) -> int:
     if args.n < 1:
         print("--n must be at least 1", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.seed < 0:
+        print("--seed cannot be negative", file=sys.stderr)
         return EXIT_CONFIG
     if args.uniform is not None:
         if not 0.0 < args.uniform < math.inf:

@@ -188,11 +188,15 @@ def _validate(cfg: RunConfig) -> list[str]:
         errs.append("time.tau must be positive")
     if cfg.time.n < 1:
         errs.append("time.n must be at least 1")
+    if cfg.time.seed < 0:
+        errs.append("time.seed cannot be negative")
     errs.extend(cfg.adaptive.problems("adaptive.{}".format))
     if cfg.init.kind not in _INIT_KINDS:
         errs.append(f"init.kind must be one of {', '.join(_INIT_KINDS)}")
     if cfg.init.amp < 0.0:
         errs.append("init.amp cannot be negative")
+    if cfg.init.seed < 0:
+        errs.append("init.seed cannot be negative")
     if cfg.init.kind == "file" and not cfg.init.path:
         errs.append("init.kind = file needs init.path")
     if cfg.init.kind == "mms":

@@ -8,15 +8,17 @@ solved by an undamped Newton iteration whose linear systems are symmetric
 positive definite whenever ``b0 > 1``; that inequality is exactly the
 step-size solvability bound ``tau_n < (1+2 r_n)/(1+ r_n)``, which is checked
 up front.  The Jacobian is applied matrix-free and each Newton correction is
-computed by preconditioned conjugate gradients, stopped where the next
-max-norm residual test can no longer see its error
-(:func:`nonlinear_solve`).  The preconditioner is
+computed by preconditioned conjugate gradients, stopped at a forcing term
+set by the residual drop or where the next max-norm residual test can no
+longer see its error, whichever comes first (:func:`nonlinear_solve`); no
+setting moves either stop but ``newton.tol``.  The preconditioner is
 picked per linear solve by a fixed condition-number rule
 (:func:`spectral_pays`): Jacobi when the reaction term dominates the
 operator, as on the phase-field runs, and the FFT inverse of its
-constant-coefficient part when diffusion dominates, as in the fine-grid
-accuracy runs.  On the Jacobi side an even grid eliminates its black
-points and runs CG on the red ones alone (:func:`_jacobi_pcg`).  Newton
+constant-coefficient part when the diffusion number ``eps^2 / h^2``
+exceeds the largest reaction coefficient, as in the fine-grid accuracy
+runs.  On the Jacobi side an even grid eliminates its black points and
+runs CG on the red ones alone (:func:`_jacobi_pcg`).  Newton
 starts from the quadratic through the last three levels, evaluated at
 the new time: the order-2 predictor of variable-step BDF codes (Hairer,
 Norsett & Wanner, Solving ODEs I, III.5-III.7), whose error is third
@@ -59,11 +61,10 @@ LIN_MAX_ITER = 2000
 
 @dataclass
 class NewtonConfig:
-    """Newton controls: residual max-norm tolerance, sweep cap, CG floor."""
+    """Newton controls: residual max-norm tolerance and sweep cap."""
 
     tol: float = 1e-12
     max_iter: int = 50
-    lin_rtol: float = 1e-13
 
     def __post_init__(self) -> None:
         errs = self.problems()
@@ -78,8 +79,6 @@ class NewtonConfig:
             errs.append(f"{name('tol')} must be at least machine epsilon ({eps:.3g})")
         if self.max_iter < 1:
             errs.append(f"{name('max_iter')} must be at least 1")
-        if not 0.0 < self.lin_rtol < 1.0:
-            errs.append(f"{name('lin_rtol')} must lie in (0, 1)")
         return errs
 
 
@@ -350,55 +349,34 @@ def _add_all(ops: tuple) -> None:
         np.add(a, b, out=out)
 
 
-#: Cost of one spectrally preconditioned CG iteration, in Jacobi CG
-#: iterations.  A Jacobi iteration makes about 48 passes over the field (17
-#: of them in the Laplacian).  The spectral one swaps the 3-pass division
-#: for an rfft/irfft pair, which costs what about 120 passes do at M = 128
-#: and M = 256 on one core: (48 - 3 + 120) / 48 = 3.4.  The value stays at
-#: the 3.0 set when the Laplacian made 31 passes: at 3.4 the manufactured
-#: solution's steps whose reaction bound ``hi`` lies between about 630 and
-#: 830 would move from the spectral preconditioner to Jacobi and change
-#: their output bits, and no timing of those steps has been taken.  On an
-#: even grid the Jacobi side is the red-black reduced solve
-#: (:func:`_jacobi_pcg`), which needs fewer and cheaper iterations than
-#: the rule assumes.  The rule is kept because it still picks the faster
-#: solve: on systems like the manufactured solution's at M = 256 (b0 =
-#: 20, 60, 200, one core), the spectral solve took 6, 5 and 4 iterations
-#: where the reduced one took about 105, 60 and 35, and it was 3.5, 2.5
-#: and 1.7 times as fast.
-SPECTRAL_COST = 3.0
-
-
-def spectral_pays(lo: float, hi: float, e2: float, h: float) -> bool:
+def spectral_pays(hi: float, e2: float, h: float) -> bool:
     """Whether the spectral preconditioner beats Jacobi on ``react v - e2 Lap v``.
 
-    ``[lo, hi]`` bounds the reaction coefficient ``react``.  CG needs about
-    ``sqrt(kappa)`` iterations.  A near-constant diagonal leaves the
-    operator's own bound ``kappa <= (hi + 8 e2 / h^2) / lo`` under Jacobi;
-    the spectral preconditioner removes the diffusion and leaves
-    ``kappa <= hi / lo``, at :data:`SPECTRAL_COST` times the price per
-    iteration.  At a cost of 3 the rule reads: spectral when the diffusion
-    number ``e2 / h^2`` exceeds ``hi``.  The answer depends on the inputs
-    alone, never on a timing, so reruns take the same path.  False sends
-    the solve to :func:`_jacobi_pcg`, which on an even grid solves the
-    better-conditioned red-black reduced system; see :data:`SPECTRAL_COST`
-    for why the rule stands.
+    ``hi`` bounds the reaction coefficient ``react``, which is at least
+    ``lo = b0 - 1``.  CG needs about ``sqrt(kappa)`` iterations: under
+    Jacobi ``kappa <= (hi + 8 d) / lo`` with the diffusion number ``d = e2
+    / h^2``, under the spectral preconditioner ``kappa <= hi / lo`` at about
+    three times the price per iteration, so spectral pays when ``d > hi``.
+    The answer depends on the inputs alone, never on a timing, so reruns
+    take the same path.  False sends the solve to :func:`_jacobi_pcg`.  On
+    the manufactured solution's systems at M = 256 (b0 = 20, 60, 200, one
+    core) the spectral solve was 3.5, 2.5 and 1.7 times as fast as the
+    red-black reduced one.
     """
-    if lo <= 0.0:
-        return False
-    return math.sqrt((hi + 8.0 * e2 / (h * h)) / lo) > SPECTRAL_COST * math.sqrt(hi / lo)
+    return e2 / (h * h) > hi
 
 
 def spectral_preconditioner(grid: Grid2D, c: float, e2: float):
     """Exact inverse of ``c v - e2 Lap v`` by FFT, as ``apply(r, out)``.
 
-    With ``c`` in the range of the reaction coefficient, the preconditioned
-    operator's spectrum lies in ``[lo / c, hi / c]`` whatever the grid.
-    The inverse symbol goes into the grid workspace's ``inv``, so the
-    preconditioner holds until the next one built on the grid.  The
-    transforms run one axis at a time through the workspace's two complex
-    spectra, which hold nothing between applications: fresh arrays on every
-    application cost about as much as the transforms at M = 256.
+    With ``c`` in the range ``[lo, hi]`` of the reaction coefficient, the
+    preconditioned operator's spectrum lies in ``[lo / c, hi / c]``
+    whatever the grid.  The inverse symbol goes into the grid workspace's
+    ``inv``, so the preconditioner holds until the next one built on the
+    grid.  The transforms run one axis at a time through the workspace's
+    two complex spectra, which hold nothing between applications: fresh
+    arrays on every application cost about as much as the transforms at M
+    = 256.
     """
     ws = workspace(grid)
     inv = ws.inv
@@ -621,11 +599,11 @@ def nonlinear_solve(
     Each correction is solved inexactly (Eisenstat & Walker, SIAM J. Sci.
     Comput. 17, 1996).  The relative forcing term tightens with the square
     of the residual drop, so the quadratic tail of the outer iteration is
-    preserved at a fraction of the inner work; the configured ``lin_rtol``
-    is its floor.  Every CG call also stops at the absolute floor
-    ``tol / 2``: the linear part of the next residual is then below
-    ``tol / 2`` in the 2-norm, hence in the max norm, and solving further
-    buys nothing the residual test can see.  The finishing rule
+    preserved at a fraction of the inner work.  Every CG call also stops at
+    the absolute floor ``tol / 2``, so the forcing term needs no floor of
+    its own: the linear part of the next residual is then below ``tol /
+    2`` in the 2-norm, hence in the max norm, and solving further buys
+    nothing the residual test can see.  The finishing rule
     (:func:`finishes`) goes one step further: when a correction solved to
     that floor provably leaves a next residual within ``tol``, the CG call
     stops at the floor alone, and the solve returns ``anchor + w`` without
@@ -681,17 +659,17 @@ def nonlinear_solve(
             return u, sweep
         proven = finishes(res_norm, max_norm(u), b0, cfg.tol)
         if proven:
-            # the bound assumes the absolute stop, whatever lin_rtol asks
+            # the bound assumes the absolute stop alone
             rtol_k = 0.0
         else:
             rtol_k = 1e-4 if res_prev is None else 0.9 * (res_norm / res_prev) ** 2
-            rtol_k = max(cfg.lin_rtol, min(rtol_k, 1e-2))
+            rtol_k = min(rtol_k, 1e-2)
         res_prev = res_norm
         np.multiply(u, u, out=react)
         react *= 3.0
         react += b0 - 1.0
         np.negative(residual, out=residual)
-        if spectral_pays(b0 - 1.0, float(react.max()), e2, h):
+        if spectral_pays(float(react.max()), e2, h):
             # its symbol depends on b0 alone: built once, on the first
             # sweep that picks it
             if spectral is None:
@@ -749,11 +727,10 @@ def bdf2_step(
         )
     ws = workspace(grid)
     const = ws.const
-    extrapolate = start is None and state.u_prev2 is not None
-    if kernels.b1 != 0.0 or extrapolate:
+    two_step = state.u_prev2 is not None
+    if two_step:
         # one history difference serves the constant and the start
         diff = np.subtract(state.u_prev, state.u_prev2, out=ws.start)
-    if kernels.b1 != 0.0:
         np.multiply(diff, kernels.b1, out=const)
         # 0 - b1 diff rather than -(b1 diff), so zeros keep the sign a
         # zero field minus b1 diff gives them
@@ -762,7 +739,7 @@ def bdf2_step(
         const.fill(0.0)
     if source_at is not None:
         const += source_at(state.t + tau)
-    if extrapolate:
+    if start is None and two_step:
         start = diff
         if state.u_prev3 is None:
             start *= ratio

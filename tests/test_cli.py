@@ -53,6 +53,13 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "unknown key" in err
 
+    def test_missing_init_file(self, tmp_path, capsys):
+        # the config parses; the run cannot read the snapshot it names
+        missing = tmp_path / "nope.acf"
+        text = QUICK.replace("init.kind = coarsening", f"init.kind = file\ninit.path = {missing}")
+        assert main(["run", write_config(tmp_path, text)]) == EXIT_CONFIG
+        assert "configuration problem" in capsys.readouterr().err
+
     def test_solver_failure(self, tmp_path, capsys):
         # first step of size 1.2 is beyond the ratio-0 solvability bound
         cfg = write_config(tmp_path, QUICK.replace("time.tau = 0.1", "time.tau = 1.2").replace("time.T = 0.5", "time.T = 2.4"))
@@ -126,9 +133,22 @@ class TestMmsCommand:
             tmp_path / "y" / "convergence_seed2.csv"
         ).read_bytes()
 
-    def test_bad_lists(self, capsys):
+    def test_bad_lists(self, tmp_path, capsys):
         assert main(["mms", "--n-list", "4;8"]) == EXIT_CONFIG
         assert main(["mms", "--n-list", "0"]) == EXIT_CONFIG
+        # rejected before the valid seed 2 is run
+        out = tmp_path / "neg"
+        assert main(["mms", "--seeds", "2,-1", "--out", str(out)]) == EXIT_CONFIG
+        assert "--seeds cannot be negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_solver_failure(self, tmp_path, capsys):
+        # one step of size T = 1 reaches the first step's solvability bound
+        code = main(
+            ["mms", "--n-list", "1", "--seeds", "0", "--m", "8", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_SOLVER
+        assert "solver failure" in capsys.readouterr().err
 
     def test_unwritable_output(self, tmp_path, capsys):
         args = ["mms", "--n-list", "2", "--seeds", "0", "--m", "8"]
@@ -183,6 +203,8 @@ class TestCheckKernelsCommand:
         assert main(["check-kernels", "--n", "0"]) == EXIT_CONFIG
         assert main(["check-kernels", "--eta", "1.5"]) == EXIT_CONFIG
         assert main(["check-kernels", "--uniform", "-1.0"]) == EXIT_CONFIG
+        assert main(["check-kernels", "--seed", "-1"]) == EXIT_CONFIG
+        assert "--seed cannot be negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",

@@ -111,18 +111,24 @@ class TestErrors:
     @pytest.mark.parametrize(
         "doc,needle",
         [
+            ("domain.L = 0", "domain.L"),
             ("domain.M = 1", "domain.M"),
             ("domain.eps = 0", "domain.eps"),
             ("time.T = -1", "time.T"),
             ("time.scheme = euler", "time.scheme"),
+            ("time.tau = 0", "time.tau"),
             ("time.n = 0", "time.n"),
+            ("time.seed = -1", "time.seed"),
             ("adaptive.rho = 1.5", "adaptive.rho"),
             ("adaptive.norm = l3", "adaptive.norm"),
             ("init.kind = waves", "init.kind"),
             ("init.kind = file", "init.path"),
             ("init.amp = -0.1", "init.amp"),
+            ("init.seed = -1", "init.seed"),
             ("newton.tol = 0", "newton.tol"),
             ("newton.tol = 1e-17", "newton.tol"),
+            ("newton.max_iter = 0", "newton.max_iter"),
+            # a key the schema no longer has is unknown
             ("newton.lin_rtol = 1.0", "newton.lin_rtol"),
             ("constraints.s0 = maybe", "constraints.s0"),
             ("output.snapshots = 5.0", "outside"),

@@ -46,7 +46,7 @@ KEYS = {
     "time.scheme": st.sampled_from(["uniform", "adaptive", "random-mesh"]),
     "time.tau": floats(1e-3, 0.05, log=True),
     "time.n": st.integers(1, 20).map(str),
-    "time.seed": st.integers(0, 5).map(str),
+    "time.seed": st.integers(-2, 5).map(str),
     "adaptive.rho": floats(0.1, 1.0),
     "adaptive.tol": floats(1e-8, 1e-1, log=True),
     "adaptive.tau_max": floats(1e-4, 0.1, log=True),
@@ -57,10 +57,9 @@ KEYS = {
     "init.kind": st.sampled_from(["four_bubble", "coarsening", "mms"]),
     "init.base": floats(-1.0, 1.0),
     "init.amp": floats(0.0, 1.0),
-    "init.seed": st.integers(0, 5).map(str),
+    "init.seed": st.integers(-2, 5).map(str),
     "newton.tol": floats(1e-18, 1e-6, log=True),
     "newton.max_iter": st.integers(1, 50).map(str),
-    "newton.lin_rtol": floats(1e-14, 0.5, log=True),
     "constraints.s0": POLICY,
     "constraints.s1": POLICY,
     "constraints.energy_law": POLICY,

@@ -205,6 +205,15 @@ class TestSnapshotFormat:
         with pytest.raises(ValueError, match="truncated"):
             read_snapshot(path)
 
+    def test_rejects_unequal_dimensions(self, tmp_path):
+        path = str(tmp_path / "skew.acf")
+        write_snapshot(path, np.zeros((4, 4)), t=0.0)
+        raw = bytearray(open(path, "rb").read())
+        raw[8:12] = struct.pack("<I", 5)  # the second M
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(ValueError, match="dimensions disagree"):
+            read_snapshot(path)
+
     def test_rejects_non_square_field(self, tmp_path):
         with pytest.raises(ValueError):
             write_snapshot(str(tmp_path / "x.acf"), np.zeros((3, 4)), t=0.0)
