@@ -52,9 +52,8 @@ class Bdf2Kernels:
 def step_kernels(tau: float, ratio: float) -> Bdf2Kernels:
     """Weights for a step of size ``tau`` following a ratio ``ratio``.
 
-    ``ratio = 0`` yields the one-step (backward Euler) weights, which is
-    both the first mesh step and the comparison scheme of the adaptive
-    controller.
+    ``ratio = 0`` yields the one-step (backward Euler) weights of the
+    first step.
     """
     if tau <= 0.0:
         raise ValueError("step size must be positive")

@@ -159,8 +159,6 @@ class _Run:
             self.eta, self.eps, self.grid.h,
         )
         self.records: list[StepRecord] = []
-        # Newton sweeps of the adaptive comparison solves, which no record holds
-        self.comparison_sweeps = 0
         self.schedule = sorted(cfg.output.snapshots)
         self.sched_idx = 0
         self.snapshots_written: list[str] = []
@@ -204,14 +202,13 @@ class _Run:
                 return max_norm(np.subtract(u, err, out=err))
 
             return MmsProblem.exact(X, Y, 0.0, s), source_at, error_at
-        if kind == "file":
-            u, _ = read_snapshot(cfg.init.path)
-            if u.shape != (grid.M, grid.M):
-                raise ValueError(
-                    f"initial field is {u.shape[0]}x{u.shape[1]}, grid wants {grid.M}"
-                )
-            return u, None, None
-        raise ValueError(f"unknown init kind '{kind}'")
+        # "file", the last kind validation admits
+        u, _ = read_snapshot(cfg.init.path)
+        if u.shape != (grid.M, grid.M):
+            raise ValueError(
+                f"initial field is {u.shape[0]}x{u.shape[1]}, grid wants {grid.M}"
+            )
+        return u, None, None
 
     # -- step sources ----------------------------------------------------
 
@@ -222,7 +219,7 @@ class _Run:
                 self.state, tau, self.grid, self.eps, self.source_at, self.cfg.newton,
                 anchor_lap=self.anchor_lap,
             )
-            yield u, StepRecord.solved(self.state, tau, u, iters), [], 0
+            yield u, StepRecord.solved(self.state, tau, u, iters), []
 
     def _controller_levels(self):
         """Levels the adaptive controller accepts, with its rejected trials."""
@@ -243,9 +240,9 @@ class _Run:
                 )
             except TooManyRejects as exc:
                 # the failed level's trials ran: log them before failing
-                self._reject(exc.rejected, exc.comparison_sweeps)
+                self._reject(exc.rejected)
                 raise
-            yield res.u, res.record, res.rejected, res.comparison_sweeps
+            yield res.u, res.record, res.rejected
             tau = res.tau_next
 
     # -- bookkeeping -----------------------------------------------------
@@ -267,12 +264,11 @@ class _Run:
         self.monitors.check(flags, ("energy_law",), rec.n)
         self.pending = None
 
-    def _reject(self, rejected: list[StepRecord], comparison_sweeps: int) -> None:
-        """Log a level's rejected trials and count its comparison sweeps."""
+    def _reject(self, rejected: list[StepRecord]) -> None:
+        """Log a level's rejected trials."""
         for rej in rejected:
             self.monitors.evaluate(rej)
             self.records.append(rej)
-        self.comparison_sweeps += comparison_sweeps
 
     def _accept(self, u: np.ndarray, rec: StepRecord) -> None:
         """Fold an accepted level into the march state."""
@@ -308,8 +304,8 @@ class _Run:
         """Fold in every level the step source yields, then close the run."""
         self._maybe_snapshot(out_dir, 0.0, self.state.u_prev)
         levels = self._controller_levels() if self.mesh is None else self._mesh_levels()
-        for u, rec, rejected, comparison_sweeps in levels:
-            self._reject(rejected, comparison_sweeps)
+        for u, rec, rejected in levels:
+            self._reject(rejected)
             self._accept(u, rec)
             self._maybe_snapshot(out_dir, rec.t, u)
         self._finalize_pending(0.0)
@@ -334,8 +330,7 @@ class _Run:
             "max_norm_overall": self.max_norm_overall,
             "min_norm_overall": self.min_norm_overall,
             "newton_iters_median": float(statistics.median(iters)) if iters else 0.0,
-            "newton_iters_total": sum(r.newton_iters for r in self.records)
-            + self.comparison_sweeps,
+            "newton_iters_total": sum(r.newton_iters for r in self.records),
             "constraint_violations": dict(self.monitors.counts),
             "first_violations": dict(self.monitors.first),
             "snapshots": list(self.snapshots_written),

@@ -24,8 +24,7 @@ the new time: the order-2 predictor of variable-step BDF codes (Hairer,
 Norsett & Wanner, Solving ODEs I, III.5-III.7), whose error is third
 order in the step.  With two levels it starts from the
 linear extrapolation ``u^n + r (u^n - u^{n-1})``, ``r = tau / tau_prev``,
-and on the first level from ``u^n``.  A caller may pass its own start, as
-the adaptive controller does for its one-step comparison.
+and on the first level from ``u^n``.
 
 Every call on a grid works in that grid's :class:`Workspace`, one set of
 fields built on first use and reused by every later step, sweep, linear
@@ -167,8 +166,7 @@ class Workspace:
     A field holds nothing between calls: the call that owns it writes it
     before reading it.  Fields whose lifetimes overlap are distinct; the
     others share storage.  No field is handed to a caller outside this
-    module, except ``scratch`` and ``compare_start`` to
-    :func:`acbdf2.adaptive.advance`.  The
+    module, except ``scratch`` to :func:`acbdf2.adaptive.advance`.  The
     anchor's Laplacian, which must outlive a level, is not here: the march
     owns that field and passes it to every solve as ``anchor_lap``.
 
@@ -177,7 +175,7 @@ class Workspace:
       :func:`_pcg`.  :func:`energy` uses ``scratch`` and writes the
       Laplacian into the field its caller passes, which is ``lap`` when
       :func:`modified_energy` calls it.  ``advance`` lends ``scratch`` to
-      :func:`acbdf2.adaptive.error_estimate` between solves.
+      :func:`acbdf2.adaptive.error_estimate` after each solve.
     * ``w``, ``base``, ``lin_coef``, ``cubic_shift``: :func:`nonlinear_solve`,
       live for the whole solve.
     * ``residual``, ``react``, ``diag``, ``inv``: one Newton sweep: the
@@ -198,10 +196,7 @@ class Workspace:
       its history difference ``u^n - u^{n-1}``, which becomes the
       extrapolated start, and the older difference ``u^{n-1} - u^{n-2}``
       that the quadratic start adds.
-    * ``compare_start`` (storage of ``ap``): the start that
-      :func:`acbdf2.adaptive.advance` forms for its one-step comparison
-      and passes to :func:`bdf2_step`.
-    * These four are dead once :func:`nonlinear_solve` has formed ``base``
+    * These three are dead once :func:`nonlinear_solve` has formed ``base``
       and ``w``, before :func:`_pcg` first writes ``r``, ``z``, ``p`` and
       ``ap``.
     * On an even grid :class:`RedBlack` carves the half-grid fields of the
@@ -221,7 +216,6 @@ class Workspace:
         self.const = self.r
         self.start = self.z
         self.history = self.p
-        self.compare_start = self.ap
 
 
 def workspace(grid: Grid2D) -> Workspace:
@@ -594,7 +588,9 @@ def nonlinear_solve(
     below has proved the last correction good enough: then the bound, not
     the residual test, decides the solve.  Its root returns at the top of
     the next sweep, which evaluates no residual but still counts, so the
-    count is the one that sweep's passing residual test would give.
+    count is the one that sweep's passing residual test would give.  A
+    residual that is not finite raises :class:`NewtonDiverged` at once,
+    before any linear solve: no correction can mend it.
 
     Each correction is solved inexactly (Eisenstat & Walker, SIAM J. Sci.
     Comput. 17, 1996).  The relative forcing term tightens with the square
@@ -654,6 +650,8 @@ def nonlinear_solve(
         residual -= scratch
         residual += base
         res_norm = max_norm(residual)
+        if not math.isfinite(res_norm):
+            raise NewtonDiverged(f"non-finite residual in Newton sweep {sweep}")
         np.add(anchor, w, out=u)
         if res_norm <= cfg.tol:
             return u, sweep
@@ -695,25 +693,20 @@ def bdf2_step(
     cfg: NewtonConfig,
     *,
     anchor_lap: np.ndarray,
-    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Advance one level from ``state`` with step size ``tau``.
 
     The state alone picks the scheme: the weights of the ratio
     ``state.ratio(tau)``, which are the two-step weights when the state
     holds two levels (``state.u_prev2`` is set) and the one-step weights
-    otherwise.  The adaptive controller's one-step comparison is thus a
-    solve from the state without its older levels.  ``source_at(t)`` must
-    return the source field at time ``t``, or ``source_at`` is None for no
-    source; it may return a buffer it reuses, as this call reads it at
-    once.  ``anchor_lap`` must hold ``laplacian_apply(state.u_prev)``; see
-    :func:`nonlinear_solve`.
-    Newton starts from ``start`` when given; it may share storage with no
-    workspace field but ``compare_start``.  Otherwise it starts from the
-    state's levels extrapolated to ``t + tau``: the quadratic through
-    ``u_prev3``, ``u_prev2`` and ``u_prev`` when the state holds all three,
-    the line through the last two when it holds two, and ``u_prev`` itself
-    on the first level.  Does not mutate ``state``.
+    otherwise.  ``source_at(t)`` must return the source field at time
+    ``t``, or ``source_at`` is None for no source; it may return a buffer it
+    reuses, as this call reads it at once.  ``anchor_lap`` must hold
+    ``laplacian_apply(state.u_prev)``; see :func:`nonlinear_solve`.  Newton
+    starts from the state's levels extrapolated to ``t + tau``: the
+    quadratic through ``u_prev3``, ``u_prev2`` and ``u_prev`` when the state
+    holds all three, the line through the last two when it holds two, and
+    ``u_prev`` itself on the first level.  Does not mutate ``state``.
 
     Raises :class:`SolvabilityViolated` when ``tau`` is at or above the
     unique-solvability bound, :class:`NewtonDiverged` on iteration failure.
@@ -727,20 +720,14 @@ def bdf2_step(
         )
     ws = workspace(grid)
     const = ws.const
-    two_step = state.u_prev2 is not None
-    if two_step:
-        # one history difference serves the constant and the start
-        diff = np.subtract(state.u_prev, state.u_prev2, out=ws.start)
-        np.multiply(diff, kernels.b1, out=const)
-        # 0 - b1 diff rather than -(b1 diff), so zeros keep the sign a
-        # zero field minus b1 diff gives them
+    if state.u_prev2 is not None:
+        # one history difference a = u^n - u^{n-1} serves the constant
+        # and the start
+        start = np.subtract(state.u_prev, state.u_prev2, out=ws.start)
+        np.multiply(start, kernels.b1, out=const)
+        # 0 - b1 a rather than -(b1 a): zeros then carry the sign that
+        # subtracting from a zero field gives them
         np.subtract(0.0, const, out=const)
-    else:
-        const.fill(0.0)
-    if source_at is not None:
-        const += source_at(state.t + tau)
-    if start is None and two_step:
-        start = diff
         if state.u_prev3 is None:
             start *= ratio
         else:
@@ -755,8 +742,11 @@ def bdf2_step(
             start *= ratio + c / tau_n
             start -= older
         start += state.u_prev
-    elif start is None:
+    else:
+        const.fill(0.0)
         start = state.u_prev
+    if source_at is not None:
+        const += source_at(state.t + tau)
     return nonlinear_solve(
         start, const, kernels.b0, grid, eps, cfg, anchor=state.u_prev, anchor_lap=anchor_lap
     )

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, overrides, and table dumps."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -59,6 +60,18 @@ class TestRunCommand:
         text = QUICK.replace("init.kind = coarsening", f"init.kind = file\ninit.path = {missing}")
         assert main(["run", write_config(tmp_path, text)]) == EXIT_CONFIG
         assert "configuration problem" in capsys.readouterr().err
+
+    def test_ratio_cap_below_one_is_a_config_error(self, tmp_path, capsys):
+        # a cap below 1 would shrink every step past tau_min, until the
+        # field overflows: the run must stop before its first step
+        text = (
+            "domain.M = 2\ntime.T = 0.03125\ntime.scheme = adaptive\n"
+            "adaptive.ratio_cap = 0.5\noutput.dir =\n"
+        )
+        start = time.perf_counter()
+        assert main(["run", write_config(tmp_path, text)]) == EXIT_CONFIG
+        assert time.perf_counter() - start < 1.0
+        assert "adaptive.ratio_cap" in capsys.readouterr().err
 
     def test_solver_failure(self, tmp_path, capsys):
         # first step of size 1.2 is beyond the ratio-0 solvability bound

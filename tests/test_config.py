@@ -95,6 +95,8 @@ class TestErrors:
             ("output.csv", "maybe", "on/off"),
             ("output.snapshots", "0.5, later", "float list"),
             ("adaptive.ratio_cap", "never", "float or 'off'"),
+            # a float must be finite
+            ("domain.eps", "inf", "float"),
         ],
     )
     def test_parse_error_names_the_type(self, key, value, typename):
@@ -121,6 +123,7 @@ class TestErrors:
             ("time.seed = -1", "time.seed"),
             ("adaptive.rho = 1.5", "adaptive.rho"),
             ("adaptive.norm = l3", "adaptive.norm"),
+            ("adaptive.ratio_cap = 0.5", "adaptive.ratio_cap"),
             ("init.kind = waves", "init.kind"),
             ("init.kind = file", "init.path"),
             ("init.amp = -0.1", "init.amp"),

@@ -222,6 +222,22 @@ class TestNonlinearSolve:
         with pytest.raises(ValueError, match="max_iter"):
             NewtonConfig(max_iter=0)
 
+    @pytest.mark.parametrize("where", ["start", "constant"])
+    def test_non_finite_residual_raises_before_any_linear_solve(self, monkeypatch, where):
+        # CG cannot mend a NaN field: it would only run to its iteration cap
+        def no_cg(*args, **kwargs):
+            raise AssertionError("CG ran on a non-finite residual")
+
+        monkeypatch.setattr(stepper, "_pcg", no_cg)
+        grid = Grid2D(M=8, L=1.0)
+        zero = np.zeros((8, 8))
+        u0, const = np.full((8, 8), 0.3), np.full((8, 8), 1.125)
+        (u0 if where == "start" else const)[2, 5] = np.nan
+        with pytest.raises(NewtonDiverged, match="non-finite residual"):
+            nonlinear_solve(
+                u0, const, 3.0, grid, 0.05, self.CFG, anchor=zero, anchor_lap=zero
+            )
+
     def test_raises_after_max_iter(self):
         grid = Grid2D(M=8, L=1.0)
         cfg = NewtonConfig(max_iter=1)
@@ -492,7 +508,8 @@ class TestBdf2Step:
         assert seen == [0.25]
 
     def test_historyless_state_takes_the_one_step_weights(self, rng):
-        # the adaptive comparison's state: past the first level, no u_prev2
+        # past the first level, no u_prev2: the backward-Euler solve that
+        # the adaptive estimate stands in for
         u_prev = 0.3 * rng.uniform(-1.0, 1.0, (16, 16))
         state = StepperState(u_prev=u_prev, u_prev2=None, n=2, t=0.2, tau_prev=0.1)
         tau = 0.1
