@@ -22,11 +22,11 @@ from pathlib import Path
 from .config import ConfigError, parse_config
 from .experiments import random_mesh
 from .kernels import (
-    bdf2_kernels,
     complementary_row,
     identity_residual,
     recombined_rows,
     run_eta,
+    step_kernels,
 )
 from .runner import ConstraintAbort, mms_sweep, run_simulation
 from .stepper import NewtonDiverged, SolvabilityViolated
@@ -152,10 +152,11 @@ def _cmd_check_kernels(args: argparse.Namespace) -> int:
         eta = run_eta(float(mesh.ratios.max()))
     d_rows = recombined_rows(mesh, eta)
     lines = ["n,j,b0,b1,d_j,Q_j,identity_residual"]
-    for n in range(1, mesh.n_steps + 1):
+    steps = zip(mesh.steps.tolist(), mesh.ratios.tolist())
+    for n, (tau, ratio) in enumerate(steps, start=1):
         d = d_rows[n - 1]
         q = complementary_row(d_rows, n)
-        k = bdf2_kernels(mesh, n)
+        k = step_kernels(tau, ratio)
         for j in range(0, n + 1):
             q_j = _fmt(q[j]) if j < n else "nan"
             res = (

@@ -25,8 +25,10 @@ step bound to leading order.
 
 ``complementary_row`` builds the discrete inverse of the ``d`` convolution
 (the lower-triangular array ``Q`` with ``sum_j Q[n-j] d[j-k] = 1``).  The
-solver itself never needs ``Q``; it exists for verification and for the
-kernel-table dump of the command-line tool, and costs O(n^2) per row.
+solver itself never needs ``Q``; it exists for the kernel-table dump of the
+command-line tool, and costs O(n^2) per row.  Each quantity has one form
+here, the one the solver or that tool calls; the tests check the paper's
+identities against these same forms.
 """
 
 from __future__ import annotations
@@ -36,17 +38,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .time_mesh import RATIO_CEILING, S0_LIMIT, TimeMesh
+from .time_mesh import RATIO_CEILING, TimeMesh
 
 
 @dataclass(frozen=True)
 class Bdf2Kernels:
-    """Convolution weights of one step, plus the step data they came from."""
+    """Convolution weights ``b0, b1`` of one step."""
 
     b0: float
     b1: float
-    tau: float
-    ratio: float
 
 
 def step_kernels(tau: float, ratio: float) -> Bdf2Kernels:
@@ -63,49 +63,20 @@ def step_kernels(tau: float, ratio: float) -> Bdf2Kernels:
     return Bdf2Kernels(
         b0=(1.0 + 2.0 * ratio) / denom,
         b1=-(ratio * ratio) / denom,
-        tau=tau,
-        ratio=ratio,
     )
 
 
-def bdf2_kernels(mesh: TimeMesh, n: int) -> Bdf2Kernels:
-    """Weights of mesh step ``n`` (1-based)."""
-    if not 1 <= n <= mesh.n_steps:
-        raise ValueError(f"step index {n} outside 1..{mesh.n_steps}")
-    return step_kernels(mesh.tau(n), mesh.ratio(n))
-
-
-def eta_floor(ratio) -> float:
-    """Smallest admissible recombination weight, ``r^2 / (1 + 2r)``."""
-    ratio = np.asarray(ratio, dtype=float)
-    out = ratio * ratio / (1.0 + 2.0 * ratio)
-    return out if out.ndim else float(out)
-
-
-def eta_admissible(eta: float, ratio: float) -> bool:
-    """True iff the recombined weights at this ratio are nonneg. decreasing."""
-    return eta_floor(ratio) <= eta < 1.0
-
-
-def choose_eta(r_s: float) -> float:
-    """Recombination weight for a run whose ratios stay ``<= r_s``.
-
-    ``eta = 2 r_s^2 / (1 + r_s)^2``; requires ``1 <= r_s < 1 + sqrt(2)``.
-    Within that window the value is admissible for every ratio up to
-    ``r_s`` and approaches 1 as ``r_s`` approaches the stability limit.
-    """
-    if not 1.0 <= r_s < S0_LIMIT:
-        raise ValueError(f"ratio cap {r_s!r} outside [1, 1 + sqrt(2))")
-    return 2.0 * r_s * r_s / ((1.0 + r_s) * (1.0 + r_s))
-
-
 def run_eta(r_max: float) -> float:
-    """:func:`choose_eta` for a run whose ratios stay ``<= r_max``.
+    """Recombination weight for a run whose ratios stay ``<= r_max``.
 
-    ``r_max`` is clamped into ``[1, RATIO_CEILING]``, so a uniform mesh, a
-    single step or an uncapped controller all get an admissible weight.
+    ``eta = 2 r_s^2 / (1 + r_s)^2`` with ``r_s`` the ratio ``r_max``
+    clamped into ``[1, RATIO_CEILING]``, so a uniform mesh, a single step
+    or an uncapped controller all get a weight.  It is admissible for every
+    ratio up to ``r_s`` and approaches 1 as ``r_s`` approaches the
+    stability limit.
     """
-    return choose_eta(min(max(r_max, 1.0), RATIO_CEILING))
+    r_s = min(max(r_max, 1.0), RATIO_CEILING)
+    return 2.0 * r_s * r_s / ((1.0 + r_s) * (1.0 + r_s))
 
 
 def recombined_kernels(k: Bdf2Kernels, eta: float, n: int) -> np.ndarray:
@@ -127,8 +98,10 @@ def recombined_kernels(k: Bdf2Kernels, eta: float, n: int) -> np.ndarray:
 def recombined_rows(mesh: TimeMesh, eta: float) -> list[np.ndarray]:
     """Rows 1..N of the recombined kernel triangle (row n has n+1 entries)."""
     return [
-        recombined_kernels(bdf2_kernels(mesh, n), eta, n)
-        for n in range(1, mesh.n_steps + 1)
+        recombined_kernels(step_kernels(tau, ratio), eta, n)
+        for n, (tau, ratio) in enumerate(
+            zip(mesh.steps.tolist(), mesh.ratios.tolist()), start=1
+        )
     ]
 
 
@@ -157,12 +130,6 @@ def complementary_row(d_rows: Sequence[np.ndarray], n: int) -> np.ndarray:
     return q
 
 
-def complementary_triangle(mesh: TimeMesh, eta: float) -> list[np.ndarray]:
-    """All rows 1..N of the discrete inverse; O(N^3) total, verification only."""
-    d_rows = recombined_rows(mesh, eta)
-    return [complementary_row(d_rows, n) for n in range(1, mesh.n_steps + 1)]
-
-
 def identity_residual(
     d_rows: Sequence[np.ndarray], q_row: np.ndarray, n: int, k: int
 ) -> float:
@@ -171,36 +138,3 @@ def identity_residual(
     for j in range(k, n + 1):
         acc += q_row[n - j] * d_rows[j - 1][j - k]
     return abs(acc - 1.0)
-
-
-def apply_bdf2(v_curr, v_prev, v_prev2, k: Bdf2Kernels):
-    """Backward difference ``b0 (v^n - v^{n-1}) + b1 (v^{n-1} - v^{n-2})``.
-
-    Pass ``v_prev2 = None`` on the first step, where the operator reduces to
-    ``(v^1 - v^0) / tau_1``; that requires ``b1 = 0``.
-    """
-    if v_prev2 is None:
-        if k.b1 != 0.0:
-            raise ValueError("two-step weights need two history levels")
-        return k.b0 * (v_curr - v_prev)
-    return k.b0 * (v_curr - v_prev) + k.b1 * (v_prev - v_prev2)
-
-
-def apply_recombined(values: Sequence, d_row: np.ndarray, eta: float):
-    """Same backward difference, evaluated through the shifted increments.
-
-    ``values`` holds ``v^0..v^n``; computes
-    ``sum_{j=1}^{n} d_{n-j} (vbar^j - vbar^{j-1}) + d_n vbar^0``.
-    Exists so the equivalence with :func:`apply_bdf2` can be checked
-    directly; the solver never sums the full history.
-    """
-    n = len(values) - 1
-    if n < 1:
-        raise ValueError("need at least two levels")
-    vbar = [values[0]]
-    for j in range(1, n + 1):
-        vbar.append(values[j] - eta * values[j - 1])
-    acc = d_row[n] * vbar[0]
-    for j in range(1, n + 1):
-        acc = acc + d_row[n - j] * (vbar[j] - vbar[j - 1])
-    return acc

@@ -655,7 +655,8 @@ def nonlinear_solve(
         np.add(anchor, w, out=u)
         if res_norm <= cfg.tol:
             return u, sweep
-        proven = finishes(res_norm, max_norm(u), b0, cfg.tol)
+        u_max = max_norm(u)
+        proven = finishes(res_norm, u_max, b0, cfg.tol)
         if proven:
             # the bound assumes the absolute stop alone
             rtol_k = 0.0
@@ -667,7 +668,8 @@ def nonlinear_solve(
         react *= 3.0
         react += b0 - 1.0
         np.negative(residual, out=residual)
-        if spectral_pays(float(react.max()), e2, h):
+        # react.max() bit for bit: each rounded step is monotone in |u|
+        if spectral_pays(u_max * u_max * 3.0 + (b0 - 1.0), e2, h):
             # its symbol depends on b0 alone: built once, on the first
             # sweep that picks it
             if spectral is None:

@@ -41,9 +41,8 @@ STAB_CONSTANT = 2.0
 class TimeMesh:
     """Immutable sequence of step sizes ``tau_1..tau_N``.
 
-    Ratios and node times are recomputed from the stored steps on demand;
-    the steps are the single source of truth.  Step indices in the public
-    API are 1-based to match the usual two-step scheme notation.
+    Ratios are recomputed from the stored steps on demand; the steps are
+    the single source of truth.  Entry ``k - 1`` belongs to step ``k``.
     """
 
     steps: np.ndarray
@@ -73,37 +72,11 @@ class TimeMesh:
         r[1:] = self.steps[1:] / self.steps[:-1]
         return r
 
-    @property
-    def times(self) -> np.ndarray:
-        """Node times ``t_0 = 0 < t_1 < ... < t_N``."""
-        return np.concatenate(([0.0], np.cumsum(self.steps)))
-
-    @property
-    def final_time(self) -> float:
-        return float(np.sum(self.steps))
-
-    def tau(self, k: int) -> float:
-        """Step size ``tau_k`` (1-based)."""
-        return float(self.steps[k - 1])
-
-    def ratio(self, k: int) -> float:
-        """Step ratio ``r_k`` (1-based, ``r_1 = 0``)."""
-        if k == 1:
-            return 0.0
-        return float(self.steps[k - 1] / self.steps[k - 2])
-
     @classmethod
     def uniform(cls, total_time: float, n_steps: int) -> "TimeMesh":
         if n_steps < 1:
             raise ValueError("need at least one step")
         return cls(np.full(n_steps, total_time / n_steps))
-
-    @classmethod
-    def from_ratios(cls, tau1: float, ratios: np.ndarray) -> "TimeMesh":
-        """Build a mesh from the first step and the ratios ``r_2..r_N``."""
-        ratios = np.asarray(ratios, dtype=float)
-        steps = tau1 * np.concatenate(([1.0], np.cumprod(ratios)))
-        return cls(steps)
 
 
 def solvability_bound(ratio):

@@ -17,14 +17,11 @@ import pytest
 from acbdf2.config import parse_config
 from acbdf2.experiments import convergence_order
 from acbdf2.kernels import (
-    apply_bdf2,
-    apply_recombined,
-    bdf2_kernels,
-    choose_eta,
     complementary_row,
     identity_residual,
     recombined_kernels,
     recombined_rows,
+    run_eta,
     step_kernels,
 )
 from acbdf2.runner import mms_sweep, run_simulation
@@ -32,6 +29,7 @@ from acbdf2.spatial import laplacian_apply, max_norm
 from acbdf2.time_mesh import S0_LIMIT, TimeMesh
 
 from conftest import dense_laplacian
+from paper_forms import apply_recombined, mesh_from_ratios, mesh_kernels
 
 EPS_MACH = float(np.finfo(float).eps)
 
@@ -121,12 +119,11 @@ def test_criterion_1_kernel_identities():
     for _ in range(200):
         n = int(rng.integers(1, 13))
         ratios = rng.uniform(1e-3, S0_LIMIT - 1e-9, n - 1)
-        mesh = TimeMesh.from_ratios(1.0, ratios)
+        mesh = mesh_from_ratios(1.0, ratios)
         # rescale so the smallest step is 0.05: ratios are untouched and the
         # kernel weights stay small enough for an absolute comparison
         mesh = TimeMesh(mesh.steps * (0.05 / mesh.steps.min()))
-        r_max = float(mesh.ratios.max())
-        eta = choose_eta(min(max(r_max, 1.0), S0_LIMIT - 1e-6))
+        eta = run_eta(float(mesh.ratios.max()))
         d_rows = recombined_rows(mesh, eta)
         for m in range(1, n + 1):
             q = complementary_row(d_rows, m)
@@ -135,9 +132,11 @@ def test_criterion_1_kernel_identities():
                 worst_res = max(worst_res, res / (10.0 * m * EPS_MACH))
         if n >= 2:
             values = list(rng.standard_normal(n + 1))
-            kern = bdf2_kernels(mesh, n)
+            kern = mesh_kernels(mesh)[-1]
             d = recombined_kernels(kern, eta, n)
-            direct = apply_bdf2(values[n], values[n - 1], values[n - 2], kern)
+            direct = kern.b0 * (values[n] - values[n - 1]) + kern.b1 * (
+                values[n - 1] - values[n - 2]
+            )
             worst_equiv = max(
                 worst_equiv, abs(apply_recombined(values, d, eta) - direct)
             )
@@ -159,7 +158,7 @@ def test_criterion_2_kernel_monotonicity():
     for _ in range(10_000):
         r_s = rng.uniform(1.0, S0_LIMIT - 1e-6)
         r = rng.uniform(0.0, r_s)
-        d = recombined_kernels(step_kernels(1.0, r), choose_eta(r_s), 8)
+        d = recombined_kernels(step_kernels(1.0, r), run_eta(r_s), 8)
         if not (np.all(d >= 0.0) and np.all(np.diff(d) <= 0.0)):
             violations += 1
     elapsed = time.perf_counter() - t0
@@ -178,17 +177,18 @@ def test_criterion_3_polynomial_exactness():
     for _ in range(100):
         n = int(rng.integers(2, 13))
         ratios = rng.uniform(0.5, 2.0, n - 1)
-        mesh = TimeMesh.from_ratios(1.0, ratios)
-        mesh = TimeMesh(mesh.steps / mesh.final_time)
-        times = mesh.times
+        mesh = mesh_from_ratios(1.0, ratios)
+        mesh = TimeMesh(mesh.steps / np.sum(mesh.steps))
+        times = np.concatenate(([0.0], np.cumsum(mesh.steps)))
+        kern = mesh_kernels(mesh)
         a, b, c = rng.uniform(-2.0, 2.0, 3)
         p = a + b * times + c * times * times
         dp = b + 2.0 * c * times
-        k1 = bdf2_kernels(mesh, 1)
-        first = abs(k1.b0 * ((a + b * times[1]) - a) - b)  # degree 1 on step 1
+        first = abs(kern[0].b0 * ((a + b * times[1]) - a) - b)  # degree 1 on step 1
         worst = max(worst, first / max(1.0, abs(b)))
         for m in range(2, n + 1):
-            got = apply_bdf2(p[m], p[m - 1], p[m - 2], bdf2_kernels(mesh, m))
+            k = kern[m - 1]
+            got = k.b0 * (p[m] - p[m - 1]) + k.b1 * (p[m - 1] - p[m - 2])
             worst = max(worst, abs(got - dp[m]) / max(1.0, abs(dp[m])))
     ok = worst <= 1e-10
     report(3, "exact time derivative of quadratics", ok, f"worst {worst:.2e}")

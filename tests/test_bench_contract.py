@@ -72,3 +72,17 @@ def test_short_traced_run_calls_every_probe(name, tmp_path):
     tracer.require_called(workload.probes)
     assert len(result.summary["snapshots"]) == 1
     workloads.check_artifacts(tmp_path, result)
+
+
+# mms_m256's meshes whose final error sits closest to the check's limit
+# MMS_ERR_INF * (1 + MMS_ERR_BOUND): 99.25%, 92.5% and 90.9% of it. As
+# (workload seed, run): the k-th run of seed s draws mesh 1000 s + k.
+THIN_MMS_MESHES = [(2, 22), (9, 60), (6, 0)]
+
+
+@pytest.mark.parametrize("seed, run", THIN_MMS_MESHES, ids=["2022", "9060", "6000"])
+def test_mms_check_passes_where_its_margin_is_thinnest(seed, run, tmp_path):
+    workload = workloads.WORKLOADS["mms_m256"]
+    cfg = parse_config(workloads.config_text(ROOT, workload, seed, run, tmp_path))
+    # raises the benchmark's own failure on an error above the limit
+    workloads.check_mms(cfg, run_simulation(cfg))

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, overrides, and table dumps."""
 
 import json
+import math
 import time
 
 import numpy as np
@@ -14,7 +15,15 @@ from acbdf2.cli import (
     main,
 )
 from acbdf2.experiments import random_mesh
-from acbdf2.kernels import step_kernels
+from acbdf2.kernels import (
+    complementary_row,
+    identity_residual,
+    recombined_kernels,
+    run_eta,
+)
+from acbdf2.time_mesh import TimeMesh
+
+from paper_forms import mesh_kernels
 
 QUICK = """
 domain.L = 1.0
@@ -246,11 +255,27 @@ class TestCheckKernelsCommand:
         assert "cannot write output" in capsys.readouterr().err
 
     def test_weights_are_the_kernels_bit_for_bit(self, capsys):
-        assert main(["check-kernels"]) == EXIT_OK
-        mesh = random_mesh(12, 1.0, 0)  # the default flags' mesh
-        rows = capsys.readouterr().out.splitlines()[1:]
-        assert len(rows) == sum(n + 1 for n in range(1, 13))
-        for row in rows:
-            n, _, b0, b1 = row.split(",")[:4]
-            k = step_kernels(mesh.tau(int(n)), mesh.ratio(int(n)))
-            assert (float(b0), float(b1)) == (k.b0, k.b1), row
+        # every column, on both mesh sources, against the solver's kernels
+        cases = [
+            ([], random_mesh(12, 1.0, 0)),  # the default flags' mesh
+            (["--uniform", "0.1", "--n", "9"], TimeMesh.uniform(0.1 * 9, 9)),
+        ]
+        for flags, mesh in cases:
+            assert main(["check-kernels", *flags]) == EXIT_OK
+            rows = capsys.readouterr().out.splitlines()[1:]
+            kernels = mesh_kernels(mesh)
+            eta = run_eta(float(mesh.ratios.max()))
+            d_rows = [recombined_kernels(k, eta, n) for n, k in enumerate(kernels, 1)]
+            expected = []
+            for n, k in enumerate(kernels, start=1):
+                q = complementary_row(d_rows, n)
+                for j in range(n + 1):
+                    q_j = q[j] if j < n else math.nan
+                    res = identity_residual(d_rows, q, n, j) if j >= 1 else math.nan
+                    want = (k.b0, k.b1, d_rows[n - 1][j], q_j, res)
+                    # nan == nan is false, so compare the printed forms
+                    expected.append([str(n), str(j)] + [repr(float(x)) for x in want])
+            assert len(rows) == len(expected)
+            for row, want in zip(rows, expected):
+                n, j, *values = row.split(",")
+                assert [n, j] + [repr(float(x)) for x in values] == want, row

@@ -6,36 +6,34 @@ import numpy as np
 import pytest
 
 from acbdf2.kernels import (
-    apply_bdf2,
-    apply_recombined,
-    bdf2_kernels,
-    choose_eta,
     complementary_row,
-    complementary_triangle,
-    eta_admissible,
-    eta_floor,
     identity_residual,
     recombined_kernels,
     recombined_rows,
+    run_eta,
     step_kernels,
 )
-from acbdf2.time_mesh import S0_LIMIT, TimeMesh
+from acbdf2.time_mesh import RATIO_CEILING, S0_LIMIT, TimeMesh
+
+from paper_forms import apply_recombined, eta_floor, mesh_from_ratios, mesh_kernels
+
+
+def apply_bdf2(values, k):
+    """``b0 (v^n - v^{n-1}) + b1 (v^{n-1} - v^{n-2})`` of the last three values."""
+    return k.b0 * (values[-1] - values[-2]) + k.b1 * (values[-2] - values[-3])
 
 
 class TestStepKernels:
     def test_frozen_pair(self):
         # steps 0.1 then 0.3: ratio 3, weights 7/1.2 and -9/1.2
-        k = bdf2_kernels(TimeMesh(np.array([0.1, 0.3])), 2)
+        k = mesh_kernels(TimeMesh(np.array([0.1, 0.3])))[1]
         assert k.b0 == pytest.approx(5.833333333333333, rel=1e-15)
         assert k.b1 == pytest.approx(-7.5, rel=1e-15)
-        assert k.tau == 0.3
-        assert k.ratio == pytest.approx(3.0, rel=1e-15)
 
     def test_first_step_degenerates_to_one_step(self):
-        k = bdf2_kernels(TimeMesh(np.array([0.1, 0.3])), 1)
+        k = mesh_kernels(TimeMesh(np.array([0.1, 0.3])))[0]
         assert k.b0 == pytest.approx(10.0, rel=1e-15)
         assert k.b1 == 0.0
-        assert k.ratio == 0.0
 
     def test_weight_identities(self, rng):
         # b0 + b1 = (1 + 2r - r^2) / (tau (1+r)), b0 - b1 = (1+r) / tau
@@ -53,11 +51,6 @@ class TestStepKernels:
             step_kernels(0.0, 1.0)
         with pytest.raises(ValueError):
             step_kernels(0.1, -0.5)
-        mesh = TimeMesh(np.array([0.1, 0.3]))
-        with pytest.raises(ValueError):
-            bdf2_kernels(mesh, 0)
-        with pytest.raises(ValueError):
-            bdf2_kernels(mesh, 3)
 
 
 class TestEtaChoice:
@@ -67,34 +60,42 @@ class TestEtaChoice:
         assert eta_floor(2.0) == pytest.approx(0.8, rel=1e-15)
 
     def test_admissible_window(self):
-        assert eta_admissible(1.0 / 3.0, 1.0)  # floor itself is admissible
-        assert not eta_admissible(0.33, 1.0)
-        assert not eta_admissible(1.0, 1.0)  # upper end is open
-        assert eta_admissible(0.999, 2.0)
+        # the solver's weights are nonnegative and decreasing just above
+        # the floor r^2 / (1 + 2r) and not just below it
+        def decreasing(eta, r):
+            d = recombined_kernels(step_kernels(1.0, r), eta, 4)
+            return bool(np.all(d >= 0.0) and np.all(np.diff(d) <= 0.0))
+
+        for r in (0.5, 1.0, 1.5, 2.0, RATIO_CEILING):
+            floor = eta_floor(r)
+            assert decreasing(floor + 1e-9, r)
+            assert not decreasing(floor - 1e-9, r)
+        assert decreasing(0.999, 2.0)
 
     def test_frozen_choices(self):
-        assert choose_eta(1.0) == 0.5
-        assert choose_eta(1.5) == pytest.approx(0.72, rel=1e-15)
-        assert choose_eta(2.0) == pytest.approx(8.0 / 9.0, rel=1e-15)
+        assert run_eta(1.0) == 0.5
+        assert run_eta(1.5) == pytest.approx(0.72, rel=1e-15)
+        assert run_eta(2.0) == pytest.approx(8.0 / 9.0, rel=1e-15)
 
     def test_approaches_one_at_the_stability_limit(self):
-        eta = choose_eta(S0_LIMIT - 1e-6)
+        eta = run_eta(S0_LIMIT - 1e-6)
         assert 0.0 < 1.0 - eta < 3e-7
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            choose_eta(0.999)
-        with pytest.raises(ValueError):
-            choose_eta(S0_LIMIT)
+        # ratios are clamped into [1, RATIO_CEILING]: a uniform mesh, a
+        # single step and an uncapped controller all get a weight below 1
+        assert run_eta(0.0) == run_eta(0.999) == run_eta(1.0)
+        assert run_eta(S0_LIMIT) == run_eta(math.inf) == run_eta(RATIO_CEILING)
+        assert run_eta(math.inf) < 1.0
 
     def test_choice_is_admissible_for_every_smaller_ratio(self, rng):
         # the floor grows with the ratio, so checking at the cap suffices;
         # check a few smaller ratios anyway
         for _ in range(200):
-            r_s = rng.uniform(1.0, S0_LIMIT - 1e-9)
-            eta = choose_eta(r_s)
-            assert eta_admissible(eta, r_s)
-            assert eta_admissible(eta, rng.uniform(0.0, r_s))
+            r_s = rng.uniform(1.0, RATIO_CEILING)
+            eta = run_eta(r_s)
+            assert eta_floor(r_s) <= eta < 1.0
+            assert eta_floor(rng.uniform(0.0, r_s)) <= eta
 
 
 class TestRecombinedKernels:
@@ -118,10 +119,10 @@ class TestRecombinedKernels:
 
     def test_nonnegative_decreasing_iff_admissible(self, rng):
         for _ in range(200):
-            r = rng.uniform(0.0, S0_LIMIT - 1e-9)
+            r = rng.uniform(0.0, RATIO_CEILING)
             tau = rng.uniform(1e-3, 1.0)
             k = step_kernels(tau, r)
-            eta = choose_eta(max(r, 1.0))
+            eta = run_eta(r)
             d = recombined_kernels(k, eta, 6)
             assert np.all(d >= 0.0)
             assert np.all(np.diff(d) <= 0.0)
@@ -148,9 +149,8 @@ class TestComplementaryKernels:
         for _ in range(20):
             n = int(rng.integers(1, 13))
             ratios = rng.uniform(0.05, S0_LIMIT - 1e-9, max(n - 1, 0))
-            mesh = TimeMesh.from_ratios(rng.uniform(0.01, 0.5), ratios)
-            r_max = float(mesh.ratios.max())
-            eta = choose_eta(min(max(r_max, 1.0), S0_LIMIT - 1e-6))
+            mesh = mesh_from_ratios(rng.uniform(0.01, 0.5), ratios)
+            eta = run_eta(float(mesh.ratios.max()))
             d_rows = recombined_rows(mesh, eta)
             for m in range(1, n + 1):
                 q = complementary_row(d_rows, m)
@@ -159,8 +159,8 @@ class TestComplementaryKernels:
 
     def test_positivity_and_bounds(self, rng):
         # 0 < Q_{n-j} <= 1/d_0(j) <= tau_j (1+r_j)/(1+2 r_j) <= tau_j
-        mesh = TimeMesh.from_ratios(0.1, rng.uniform(0.3, 2.2, 9))
-        eta = choose_eta(min(max(float(mesh.ratios.max()), 1.0), S0_LIMIT - 1e-6))
+        mesh = mesh_from_ratios(0.1, rng.uniform(0.3, 2.2, 9))
+        eta = run_eta(float(mesh.ratios.max()))
         d_rows = recombined_rows(mesh, eta)
         for n in range(1, mesh.n_steps + 1):
             q = complementary_row(d_rows, n)
@@ -168,16 +168,17 @@ class TestComplementaryKernels:
             for j in range(1, n + 1):
                 bound = 1.0 / d_rows[j - 1][0]
                 assert q[n - j] <= bound * (1.0 + 1e-14)
-                r_j = mesh.ratio(j)
-                assert bound <= mesh.tau(j) * (1.0 + r_j) / (1.0 + 2.0 * r_j) * (
+                tau_j, r_j = mesh.steps[j - 1], mesh.ratios[j - 1]
+                assert bound <= tau_j * (1.0 + r_j) / (1.0 + 2.0 * r_j) * (
                     1.0 + 1e-14
                 )
-                assert bound <= mesh.tau(j) * (1.0 + 1e-14)
+                assert bound <= tau_j * (1.0 + 1e-14)
 
     def test_triangle_shape(self):
-        mesh = TimeMesh.uniform(1.0, 5)
-        tri = complementary_triangle(mesh, 0.5)
-        assert [row.size for row in tri] == [1, 2, 3, 4, 5]
+        d_rows = recombined_rows(TimeMesh.uniform(1.0, 5), 0.5)
+        assert [row.size for row in d_rows] == [2, 3, 4, 5, 6]
+        rows = [complementary_row(d_rows, n) for n in range(1, 6)]
+        assert [row.size for row in rows] == [1, 2, 3, 4, 5]
 
     def test_validation(self):
         mesh = TimeMesh.uniform(1.0, 3)
@@ -190,43 +191,41 @@ class TestComplementaryKernels:
 
 class TestOperatorEquivalence:
     def test_two_level_apply(self):
+        # b0 = 10/3, b1 = -8/3 at (tau, r) = (1/2, 2): 20/3 - 4/3
         k = step_kernels(0.5, 2.0)
-        assert apply_bdf2(3.0, 1.0, 0.5, k) == pytest.approx(
-            k.b0 * 2.0 + k.b1 * 0.5, rel=1e-15
-        )
+        assert apply_bdf2([0.5, 1.0, 3.0], k) == pytest.approx(16.0 / 3.0, rel=1e-15)
 
     def test_first_step_apply(self):
+        # on the first step d_0 (vbar^1 - vbar^0) + d_1 vbar^0, with d_1 =
+        # b0 eta, telescopes to the one-step difference (v^1 - v^0) / tau
         k = step_kernels(0.25, 0.0)
-        assert apply_bdf2(1.0, 0.0, None, k) == pytest.approx(4.0, rel=1e-15)
-        with pytest.raises(ValueError):
-            apply_bdf2(1.0, 0.0, None, step_kernels(0.25, 1.0))
+        assert k.b1 == 0.0
+        d = recombined_kernels(k, 0.5, 1)
+        assert apply_recombined([0.0, 1.0], d, 0.5) == pytest.approx(4.0, rel=1e-15)
+        assert apply_recombined([1.0, 1.0], d, 0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_recombined_equals_direct(self, rng):
         # the shifted-increment form telescopes back to the two-term one
         for _ in range(50):
             n = int(rng.integers(2, 10))
             ratios = rng.uniform(0.1, S0_LIMIT - 1e-9, n - 1)
-            mesh = TimeMesh.from_ratios(rng.uniform(0.05, 0.5), ratios)
+            mesh = mesh_from_ratios(rng.uniform(0.05, 0.5), ratios)
             eta = rng.uniform(0.05, 0.95)
             values = list(rng.standard_normal(n + 1))
-            k = bdf2_kernels(mesh, n)
+            k = mesh_kernels(mesh)[n - 1]
             d = recombined_kernels(k, eta, n)
-            direct = apply_bdf2(values[n], values[n - 1], values[n - 2], k)
+            direct = apply_bdf2(values, k)
             recombined = apply_recombined(values, d, eta)
             assert recombined == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
     def test_recombined_works_on_fields(self, rng):
         n = 4
-        mesh = TimeMesh.from_ratios(0.1, np.array([1.2, 0.8, 1.5]))
+        mesh = mesh_from_ratios(0.1, np.array([1.2, 0.8, 1.5]))
         eta = 0.6
         values = [rng.standard_normal((6, 6)) for _ in range(n + 1)]
-        k = bdf2_kernels(mesh, n)
+        k = mesh_kernels(mesh)[n - 1]
         d = recombined_kernels(k, eta, n)
-        direct = apply_bdf2(values[n], values[n - 1], values[n - 2], k)
         np.testing.assert_allclose(
-            apply_recombined(values, d, eta), direct, rtol=1e-12, atol=1e-12
+            apply_recombined(values, d, eta), apply_bdf2(values, k),
+            rtol=1e-12, atol=1e-12,
         )
-
-    def test_apply_recombined_needs_two_levels(self):
-        with pytest.raises(ValueError):
-            apply_recombined([1.0], np.array([1.0]), 0.5)

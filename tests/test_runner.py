@@ -11,11 +11,11 @@ from acbdf2 import runner, stepper
 from acbdf2.adaptive import TooManyRejects
 from acbdf2.config import parse_config
 from acbdf2.experiments import coarsening_init, random_mesh
-from acbdf2.kernels import choose_eta
+from acbdf2.kernels import run_eta
 from acbdf2.runner import CSV_HEADER, ConstraintAbort, run_simulation
 from acbdf2.spatial import Grid2D, laplacian_apply, read_snapshot, write_snapshot
 from acbdf2.stepper import StepRecord, energy
-from acbdf2.time_mesh import RATIO_CEILING, S0_LIMIT, TimeMesh, constraint_flags
+from acbdf2.time_mesh import RATIO_CEILING, TimeMesh, constraint_flags
 
 BASE = """
 domain.L = 1.0
@@ -100,7 +100,7 @@ class TestMeshRecords:
             "time.scheme = uniform\ntime.tau = 0.1\n", scheme
         )
         records = run_text(text).records
-        assert [r.t for r in records] == list(mesh.times[1:])
+        assert [r.t for r in records] == list(np.cumsum(mesh.steps))
         assert [r.ratio for r in records] == list(mesh.ratios)
 
 
@@ -255,11 +255,9 @@ output.dir =
 
     def test_eta_comes_from_the_ratio_cap(self):
         res = run_text(self.TEXT)
-        assert res.summary["eta"] == choose_eta(
-            min(RATIO_CEILING, S0_LIMIT - 1e-6)
-        )
+        assert res.summary["eta"] == run_eta(RATIO_CEILING)
         res2 = run_text(self.TEXT + "adaptive.ratio_cap = 1.5\n")
-        assert res2.summary["eta"] == choose_eta(1.5)
+        assert res2.summary["eta"] == run_eta(1.5) == 0.72
 
     def test_accepted_ratios_respect_the_cap(self):
         res = run_text(self.TEXT + "adaptive.ratio_cap = 1.8\n")
@@ -332,9 +330,7 @@ output.dir =
             [r.tau for r in res.records], mesh.steps, rtol=1e-15
         )
         r_max = float(mesh.ratios[1:].max())
-        assert res.summary["eta"] == choose_eta(
-            min(max(r_max, 1.0), S0_LIMIT - 1e-6)
-        )
+        assert res.summary["eta"] == run_eta(r_max)
 
 
 class TestAnchorLaplacian:
