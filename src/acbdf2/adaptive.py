@@ -26,17 +26,15 @@ first level both schemes coincide and ``e = 0``.  A level is accepted when
 
 clamped to ``[tau_min, tau_max]``, and on acceptance additionally capped so
 the realized step ratio never exceeds ``ratio_cap`` (the cap keeps every
-accepted ratio inside the zero-stability window; disable it to reproduce
-uncapped behavior).  A cap below 1 would shrink every accepted step, past
+accepted ratio inside the zero-stability window; a large cap, such as
+``1e9``, never binds).  A cap below 1 would shrink every accepted step, past
 ``tau_min``, so validation rejects it.  A rejected level is recomputed with
 the shrunken step; the shrink factor is at most ``rho < 1`` per rejection,
 and a step that keeps failing after ``max_rejects`` tries raises
 :class:`TooManyRejects`.  So does a rejection whose next trial would be
 the same step, as at the floor ``tau_min``: the solve is deterministic
-and would fail again.
-
-The estimate uses the grid-weighted l2 norm by default; the max norm is
-available behind the ``norm`` switch.
+and would fail again.  Both norms of the estimate are the grid-weighted
+l2 norm.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spatial import Grid2D, l2_norm, max_norm
+from .spatial import Grid2D, l2_norm
 from .stepper import NewtonConfig, StepRecord, StepperState, bdf2_step, workspace
 from .time_mesh import RATIO_CEILING
 
@@ -80,9 +78,8 @@ class AdaptiveConfig:
     tol: float = 1e-4
     tau_max: float = 0.1
     tau_min: float = 1e-3
-    ratio_cap: float | None = RATIO_CEILING
+    ratio_cap: float = RATIO_CEILING
     max_rejects: int = 20
-    norm: str = "l2"
 
     def __post_init__(self) -> None:
         errs = self.problems()
@@ -100,28 +97,16 @@ class AdaptiveConfig:
             errs.append(f"{name('tau_min')} and {name('tau_max')} must be positive")
         elif self.tau_min > self.tau_max:
             errs.append(f"{name('tau_min')} exceeds {name('tau_max')}")
-        if self.ratio_cap is not None and not self.ratio_cap >= 1.0:
+        if not self.ratio_cap >= 1.0:
             # a cap below 1 shrinks every accepted step, past tau_min
-            errs.append(f"{name('ratio_cap')} must be at least 1 or off")
+            errs.append(f"{name('ratio_cap')} must be at least 1")
         if self.max_rejects < 1:
             errs.append(f"{name('max_rejects')} must be at least 1")
-        if self.norm not in ("l2", "max"):
-            errs.append(f"{name('norm')} must be 'l2' or 'max'")
         return errs
 
 
-def solution_norm(u: np.ndarray, h: float, norm: str, scratch: np.ndarray) -> float:
-    """``u`` in the estimate's norm; the l2 squares go into ``scratch``."""
-    if norm == "l2":
-        return l2_norm(u, h, scratch)
-    if norm == "max":
-        return max_norm(u)
-    raise ValueError("error norm must be 'l2' or 'max'")
-
-
 def error_estimate(
-    state: StepperState, ratio: float, u2: np.ndarray, h: float, norm: str,
-    scratch: np.ndarray,
+    state: StepperState, ratio: float, u2: np.ndarray, h: float, scratch: np.ndarray
 ) -> float:
     """Milne's estimate ``|| r / (1 + r) (u2 - u_lin) || / || u2 ||``.
 
@@ -131,14 +116,14 @@ def error_estimate(
     docstring.  The gap and its squares go into ``scratch``;
     :func:`advance` passes its grid workspace's.
     """
-    ref = solution_norm(u2, h, norm, scratch)
+    ref = l2_norm(u2, h, scratch)
     if ref == 0.0:
         raise ZeroReference("reference solution vanishes")
     gap = np.subtract(state.u_prev, state.u_prev2, out=scratch)
     gap *= ratio
     gap += state.u_prev
     np.subtract(u2, gap, out=gap)
-    return ratio / (1.0 + ratio) * solution_norm(gap, h, norm, scratch) / ref
+    return ratio / (1.0 + ratio) * l2_norm(gap, h, scratch) / ref
 
 
 def tau_ada(e: float, tau_cur: float, cfg: AdaptiveConfig) -> float:
@@ -202,13 +187,11 @@ def advance(
             # both schemes coincide on the starting level
             e = 0.0
         else:
-            e = error_estimate(state, record.ratio, u2, grid.h, cfg.norm, scratch)
+            e = error_estimate(state, record.ratio, u2, grid.h, scratch)
         record.e_est = e
         record.accepted = e < cfg.tol
         if record.accepted:
-            tau_next = tau_ada(e, tau, cfg)
-            if cfg.ratio_cap is not None:
-                tau_next = min(tau_next, cfg.ratio_cap * tau)
+            tau_next = min(tau_ada(e, tau, cfg), cfg.ratio_cap * tau)
             return AdvanceResult(u=u2, record=record, tau_next=tau_next, rejected=rejected)
         rejected.append(record)
         tau_next = tau_ada(e, tau, cfg)

@@ -63,8 +63,6 @@ class ConstraintPolicy:
 class OutputConfig:
     dir: str = "out"
     snapshots: list[float] = field(default_factory=list)
-    csv: bool = True
-    snapshot_text: bool = False
 
 
 @dataclass
@@ -92,15 +90,6 @@ def _parse_int(raw: str) -> int:
     raise ValueError
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("on", "true", "yes", "1"):
-        return True
-    if low in ("off", "false", "no", "0"):
-        return False
-    raise ValueError
-
-
 def _parse_float_list(raw: str) -> list[float]:
     raw = raw.strip()
     if not raw:
@@ -108,20 +97,12 @@ def _parse_float_list(raw: str) -> list[float]:
     return [_parse_float(part) for part in raw.split(",")]
 
 
-def _parse_cap(raw: str) -> float | None:
-    if raw.strip().lower() in ("off", "none"):
-        return None
-    return _parse_float(raw)
-
-
 # field annotation, as written -> (parser, human-readable type)
 _PARSERS: dict[str, tuple[object, str]] = {
     "float": (_parse_float, "float"),
     "int": (_parse_int, "int"),
     "str": (str.strip, "string"),
-    "bool": (_parse_bool, "on/off"),
     "list[float]": (_parse_float_list, "float list"),
-    "float | None": (_parse_cap, "float or 'off'"),
 }
 
 # key "section.field" -> (parser, human-readable type), one per section field

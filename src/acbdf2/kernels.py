@@ -71,9 +71,9 @@ def run_eta(r_max: float) -> float:
 
     ``eta = 2 r_s^2 / (1 + r_s)^2`` with ``r_s`` the ratio ``r_max``
     clamped into ``[1, RATIO_CEILING]``, so a uniform mesh, a single step
-    or an uncapped controller all get a weight.  It is admissible for every
-    ratio up to ``r_s`` and approaches 1 as ``r_s`` approaches the
-    stability limit.
+    or a controller capped above the ceiling all get a weight.  It is
+    admissible for every ratio up to ``r_s`` and approaches 1 as ``r_s``
+    approaches the stability limit.
     """
     r_s = min(max(r_max, 1.0), RATIO_CEILING)
     return 2.0 * r_s * r_s / ((1.0 + r_s) * (1.0 + r_s))

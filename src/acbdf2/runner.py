@@ -52,7 +52,7 @@ from .experiments import (
     random_mesh,
 )
 from .kernels import run_eta
-from .spatial import Grid2D, max_norm, read_snapshot, write_snapshot, write_text_field
+from .spatial import Grid2D, max_norm, read_snapshot, write_snapshot
 from .stepper import (
     StepRecord,
     StepperState,
@@ -60,7 +60,7 @@ from .stepper import (
     energy,
     modified_energy,
 )
-from .time_mesh import TimeMesh, constraint_flags
+from .time_mesh import TimeMesh, constraint_flags, energy_law_bound
 
 log = logging.getLogger(__name__)
 
@@ -112,12 +112,9 @@ class _Monitors:
         self.counts = dict.fromkeys(policy_of, 0)
         self.first = dict.fromkeys(policy_of)
 
-    def evaluate(self, rec: StepRecord, ratio_next: float | None = None) -> dict:
+    def evaluate(self, rec: StepRecord) -> dict:
         """The record's safeguard flags; stores its CSV flags on the way."""
-        flags = constraint_flags(
-            rec.tau, rec.ratio, eta=self.eta, eps=self.eps, h=self.h,
-            ratio_next=ratio_next,
-        )
+        flags = constraint_flags(rec.tau, rec.ratio, eta=self.eta, eps=self.eps, h=self.h)
         rec.s0_ok = bool(flags["s0"])
         rec.maxp_bound_ok = bool(flags["max_principle"])
         return flags
@@ -150,10 +147,9 @@ class _Run:
         elif cfg.time.scheme == "random-mesh":
             self.mesh = random_mesh(cfg.time.n, T, cfg.time.seed)
         if self.mesh is not None:
-            r_max = float(self.mesh.ratios.max())
+            self.eta = run_eta(float(self.mesh.ratios.max()))
         else:
-            r_max = math.inf if cfg.adaptive.ratio_cap is None else cfg.adaptive.ratio_cap
-        self.eta = run_eta(r_max)
+            self.eta = run_eta(cfg.adaptive.ratio_cap)
         self.monitors = _Monitors(
             dataclasses.asdict(cfg.constraints),
             self.eta, self.eps, self.grid.h,
@@ -248,7 +244,11 @@ class _Run:
     # -- bookkeeping -----------------------------------------------------
 
     def _finalize_pending(self, ratio_next: float) -> None:
-        """Fill the waiting record's modified energy; run the lagged check."""
+        """Fill the waiting record's modified energy; run the lagged check.
+
+        ``_accept`` stored the record's other flags; only the energy law
+        waits for the following ratio.
+        """
         rec = self.pending
         if rec is None:
             return
@@ -260,8 +260,8 @@ class _Run:
             self.grid,
             self.eps,
         )
-        flags = self.monitors.evaluate(rec, ratio_next)
-        self.monitors.check(flags, ("energy_law",), rec.n)
+        energy_law = rec.tau <= energy_law_bound(rec.ratio, ratio_next)
+        self.monitors.check({"energy_law": energy_law}, ("energy_law",), rec.n)
         self.pending = None
 
     def _reject(self, rejected: list[StepRecord]) -> None:
@@ -293,8 +293,6 @@ class _Run:
             sched_t = self.schedule[self.sched_idx]
             name = f"snap_t{sched_t:g}.acf"
             write_snapshot(str(out_dir / name), u, t)
-            if self.cfg.output.snapshot_text:
-                write_text_field(str(out_dir / (name + ".txt")), u)
             self.snapshots_written.append(name)
             self.sched_idx += 1
 
@@ -339,8 +337,7 @@ class _Run:
         }
 
     def write_outputs(self, out_dir: Path, summary: dict) -> None:
-        if self.cfg.output.csv:
-            write_steps_csv(out_dir / "steps.csv", self.records)
+        write_steps_csv(out_dir / "steps.csv", self.records)
         (out_dir / "summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="ascii"
         )

@@ -173,8 +173,3 @@ def read_snapshot(path: str) -> tuple[np.ndarray, float]:
         if data.size != m1 * m2:
             raise ValueError("snapshot payload truncated")
     return data.reshape(m1, m2).copy(), t
-
-
-def write_text_field(path: str, u: np.ndarray) -> None:
-    """Optional plain-text dump, one row per line."""
-    np.savetxt(path, u, fmt="%.17g")

@@ -3,8 +3,9 @@
 A mesh is the sequence of positive step sizes ``tau_1, ..., tau_N`` covering
 ``[0, T]``.  Step ratios ``r_k = tau_k / tau_{k-1}`` (with ``r_1 = 0`` by
 convention) control both solvability and stability of the two-step scheme,
-so this module also provides the per-step upper bounds and the one evaluator
-(:func:`constraint_flags`) behind the constraint monitors:
+so this module also provides the per-step upper bounds behind the
+constraint monitors, and :func:`constraint_flags` for the flags a step
+settles on its own:
 
 * zero-stability window ``0 < r_k < 1 + sqrt(2)``,
 * energy-dissipation window ``0 < r_k < (3 + sqrt(17)) / 2``,
@@ -61,10 +62,6 @@ class TimeMesh:
         object.__setattr__(self, "steps", steps)
 
     @property
-    def n_steps(self) -> int:
-        return int(self.steps.size)
-
-    @property
     def ratios(self) -> np.ndarray:
         """Step ratios ``r_k``, with ``r_1 = 0`` by convention."""
         r = np.empty_like(self.steps)
@@ -79,18 +76,16 @@ class TimeMesh:
         return cls(np.full(n_steps, total_time / n_steps))
 
 
-def solvability_bound(ratio):
+def solvability_bound(ratio: float) -> float:
     """Largest step size with a unique nonlinear solution: ``(1+2r)/(1+r)``.
 
     The step is admissible when ``tau_n`` is strictly below this value, which
-    makes the implicit equation strictly convex.  Accepts scalars or arrays.
+    makes the implicit equation strictly convex.
     """
-    ratio = np.asarray(ratio, dtype=float)
-    out = (1.0 + 2.0 * ratio) / (1.0 + ratio)
-    return out if out.ndim else float(out)
+    return (1.0 + 2.0 * ratio) / (1.0 + ratio)
 
 
-def energy_law_bound(ratio, ratio_next):
+def energy_law_bound(ratio: float, ratio_next: float) -> float:
     """Step bound under which the modified energy cannot increase.
 
     ``min{(1+2r)/(1+r), (2+4r-r^2)/(1+r) - r'/(1+r')}`` where ``r`` is the
@@ -98,16 +93,14 @@ def energy_law_bound(ratio, ratio_next):
     second branch can be non-positive for ratio pairs outside the
     energy-dissipation window; a non-positive value means no admissible step.
     """
-    ratio = np.asarray(ratio, dtype=float)
-    ratio_next = np.asarray(ratio_next, dtype=float)
     first = (1.0 + 2.0 * ratio) / (1.0 + ratio)
     second = (2.0 + 4.0 * ratio - ratio * ratio) / (1.0 + ratio)
-    second = second - ratio_next / (1.0 + ratio_next)
-    out = np.minimum(first, second)
-    return out if out.ndim else float(out)
+    return min(first, second - ratio_next / (1.0 + ratio_next))
 
 
-def max_principle_bound(ratio, eta, stab, eps, h):
+def max_principle_bound(
+    ratio: float, eta: float, stab: float, eps: float, h: float
+) -> float:
     """Step bound under which the solver provably stays in ``[-1, 1]``.
 
     ``((1+2r) eta - r^2) / (eta^2 (1+r)) * (1 - eta) / (stab + 4 eps^2 / h^2)``
@@ -118,28 +111,22 @@ def max_principle_bound(ratio, eta, stab, eps, h):
     at ``eta = r^2 / (1 + 2r)`` and the usable window is
     ``r^2/(1+2r) <= eta < 1``.
     """
-    ratio = np.asarray(ratio, dtype=float)
-    eta = np.asarray(eta, dtype=float)
     kappa = ((1.0 + 2.0 * ratio) * eta - ratio * ratio) / (eta * eta * (1.0 + ratio))
-    out = kappa * (1.0 - eta) / (stab + 4.0 * eps * eps / (h * h))
-    return out if out.ndim else float(out)
+    return kappa * (1.0 - eta) / (stab + 4.0 * eps * eps / (h * h))
 
 
-def constraint_flags(tau, ratio, *, eta, eps, h, ratio_next=None):
+def constraint_flags(tau: float, ratio: float, *, eta: float, eps: float, h: float) -> dict:
     """Which safeguards a step of size ``tau`` at ratio ``ratio`` satisfies.
 
-    Returns ``{"s0", "s1", "max_principle"}`` flags, plus ``"energy_law"``
-    once the following ratio ``ratio_next`` is known (0 after the final
-    step).  ``s0`` and ``s1`` are the strict ratio windows; the first step
-    has ratio 0 and passes both.  ``max_principle`` uses the recombination
-    weight ``eta`` of the run.  A flag is false exactly when its inequality
-    fails.  Arrays of steps and ratios give arrays of flags.
+    Returns the ``"s0"``, ``"s1"`` and ``"max_principle"`` flags.  ``s0``
+    and ``s1`` are the strict ratio windows; the first step has ratio 0 and
+    passes both.  ``max_principle`` uses the recombination weight ``eta`` of
+    the run.  A flag is false exactly when its inequality fails.  The energy
+    law waits for the following ratio; the run checks it against
+    :func:`energy_law_bound` once that ratio is known.
     """
-    flags = {
+    return {
         "s0": ratio < S0_LIMIT,
         "s1": ratio < S1_LIMIT,
         "max_principle": tau <= max_principle_bound(ratio, eta, STAB_CONSTANT, eps, h),
     }
-    if ratio_next is not None:
-        flags["energy_law"] = tau <= energy_law_bound(ratio, ratio_next)
-    return flags

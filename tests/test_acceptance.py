@@ -256,17 +256,23 @@ def test_criterion_7_adaptive_efficiency(bubbles_uniform, bubbles_adaptive):
     e_uni = uni.summary["final_energy"]
     e_ada = ada.summary["final_energy"]
     rel = abs(e_ada - e_uni) / abs(e_uni)
+    # both land on T = 30; the uniform reference is within about 3.5e-8 of
+    # the exact field there, and the adaptive field measured 7.6e-5 from it
+    # at tol = 1e-4.  An estimate ten times too small runs as tol = 1e-3
+    # would, which measured 2.57e-4
+    field_err = max_norm(ada.u_final - uni.u_final)
     ok = (
         n_uni == 30000
         and n_ada <= 0.05 * n_uni
         and 300 <= n_ada <= 1500
         and rel <= 0.01
+        and field_err <= 1.5e-4
     )
     report(
         7,
         "adaptive matches the uniform reference at a fraction of the steps",
         ok,
-        f"{n_ada} vs {n_uni} steps, energy diff {rel:.2e}",
+        f"{n_ada} vs {n_uni} steps, energy diff {rel:.2e}, field diff {field_err:.2e}",
     )
 
 

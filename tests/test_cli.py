@@ -82,6 +82,22 @@ class TestRunCommand:
         assert time.perf_counter() - start < 1.0
         assert "adaptive.ratio_cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("adaptive.norm = l2", "unknown key 'adaptive.norm'"),
+            ("output.csv = true", "unknown key 'output.csv'"),
+            ("output.snapshot_text = false", "unknown key 'output.snapshot_text'"),
+            ("adaptive.ratio_cap = off", "for 'adaptive.ratio_cap' is not float"),
+        ],
+    )
+    def test_dropped_settings_fail_loudly(self, tmp_path, capsys, line, message):
+        # a config written for a setting the schema dropped stops with the
+        # config exit code and names the key, rather than running a default
+        text = QUICK.replace("time.scheme = uniform", "time.scheme = adaptive")
+        assert main(["run", write_config(tmp_path, text + line + "\n")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_solver_failure(self, tmp_path, capsys):
         # first step of size 1.2 is beyond the ratio-0 solvability bound
         cfg = write_config(tmp_path, QUICK.replace("time.tau = 0.1", "time.tau = 1.2").replace("time.T = 0.5", "time.T = 2.4"))

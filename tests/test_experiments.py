@@ -72,7 +72,7 @@ class TestRandomMesh:
     def test_covers_the_horizon_exactly(self):
         for seed in (0, 1, 7):
             mesh = random_mesh(40, 1.0, seed)
-            assert mesh.n_steps == 40
+            assert mesh.steps.size == 40
             assert np.all(mesh.steps > 0.0)
             assert abs(np.sum(mesh.steps) - 1.0) <= 2.0 * np.spacing(1.0)
 

@@ -162,7 +162,7 @@ class TestComplementaryKernels:
         mesh = mesh_from_ratios(0.1, rng.uniform(0.3, 2.2, 9))
         eta = run_eta(float(mesh.ratios.max()))
         d_rows = recombined_rows(mesh, eta)
-        for n in range(1, mesh.n_steps + 1):
+        for n in range(1, mesh.steps.size + 1):
             q = complementary_row(d_rows, n)
             assert np.all(q > 0.0)
             for j in range(1, n + 1):

@@ -14,7 +14,6 @@ from acbdf2.spatial import (
     max_norm,
     read_snapshot,
     write_snapshot,
-    write_text_field,
 )
 
 from conftest import dense_laplacian, peak_fields
@@ -217,9 +216,3 @@ class TestSnapshotFormat:
     def test_rejects_non_square_field(self, tmp_path):
         with pytest.raises(ValueError):
             write_snapshot(str(tmp_path / "x.acf"), np.zeros((3, 4)), t=0.0)
-
-    def test_text_dump_round_trips(self, tmp_path, rng):
-        u = rng.standard_normal((5, 5))
-        path = str(tmp_path / "field.txt")
-        write_text_field(path, u)
-        np.testing.assert_array_equal(np.loadtxt(path), u)

@@ -109,7 +109,7 @@ def test_modified_energy_never_rises(case, ratios):
     eps = case["eps"]
     r = np.concatenate(([0.0], ratios))
     r_next = np.concatenate((ratios, [0.0]))
-    bounds = energy_law_bound(r, r_next)
+    bounds = np.array([energy_law_bound(*pair) for pair in zip(r.tolist(), r_next.tolist())])
     hypothesis.assume(bounds.min() > 0.0)
     # the first branch of the bound is the solvability bound, which is strict
     steps = (1.0 - 1e-9) * steps_within(ratios, bounds)
@@ -128,9 +128,10 @@ def test_max_norm_stays_at_most_one(case, ratios):
     grid, u0 = setup(case)
     eps = case["eps"]
     eta = run_eta(float(ratios.max()))
-    bounds = max_principle_bound(
-        np.concatenate(([0.0], ratios)), eta, STAB_CONSTANT, eps, grid.h
-    )
+    bounds = np.array([
+        max_principle_bound(ratio, eta, STAB_CONSTANT, eps, grid.h)
+        for ratio in [0.0] + ratios.tolist()
+    ])
     hypothesis.assume(bounds.min() > 0.0)
     steps = steps_within(ratios, bounds)
     # within the bound b0 >= 2 (eta >= 1/2), so Varah's bound puts each root
