@@ -12,9 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
+import numpy as np
+
 from .adaptive import AdaptiveConfig
-from .experiments import MMS_EPS2
+from .experiments import MMS_EPS2, random_mesh
 from .stepper import NewtonConfig
+from .time_mesh import TimeMesh, solvability_bound
 
 
 class ConfigError(ValueError):
@@ -40,6 +43,14 @@ class TimeConfig:
     tau: float = 1e-2
     n: int = 100  # step count of the random-mesh scheme
     seed: int = 0
+
+    def mesh(self) -> TimeMesh | None:
+        """The fixed mesh of a uniform or random-mesh run; None when adaptive."""
+        if self.scheme == "uniform":
+            return TimeMesh.uniform(self.T, max(1, round(self.T / self.tau)))
+        if self.scheme == "random-mesh":
+            return random_mesh(self.n, self.T, self.seed)
+        return None
 
 
 @dataclass
@@ -153,6 +164,49 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def _time_problems(time: TimeConfig) -> list[str]:
+    """The time section's problems, its fixed mesh's steps included."""
+    errs = []
+    if time.T <= 0.0:
+        errs.append("time.T must be positive")
+    if time.scheme not in _SCHEMES:
+        errs.append(f"time.scheme must be one of {', '.join(_SCHEMES)}")
+    if time.tau <= 0.0:
+        errs.append("time.tau must be positive")
+    if time.n < 1:
+        errs.append("time.n must be at least 1")
+    if time.seed < 0:
+        errs.append("time.seed cannot be negative")
+    if errs:
+        return errs
+    if time.scheme == "random-mesh" and time.T <= 1.0 and time.n > 1:
+        # every step is at most T <= 1 and every bound at least 1; a later
+        # step's bound is above 1 but for a ratio so small that the step
+        # is tiny, and a first step of the whole horizon leaves the others
+        # no time.  So no step of this mesh reaches its bound, and the
+        # draw, which would add the import of numpy.random to every
+        # parse, is skipped
+        return []
+    try:
+        mesh = time.mesh()
+    except (ValueError, OverflowError) as exc:
+        return [f"time mesh: {exc}"]
+    if mesh is None:
+        return []
+    # the step check bdf2_step makes, ahead of the run: a step at or above
+    # the bound would stop the run at that step
+    ratios = mesh.ratios
+    bound = solvability_bound(ratios)
+    bad = np.flatnonzero(~(mesh.steps < bound))
+    if bad.size:
+        k = int(bad[0])
+        errs.append(
+            f"step {k + 1} of the time mesh, tau = {mesh.steps[k]:g} at ratio "
+            f"{ratios[k]:g}, reaches the solvability bound {bound[k]:g}"
+        )
+    return errs
+
+
 def _validate(cfg: RunConfig) -> list[str]:
     errs: list[str] = []
     if cfg.domain.L <= 0.0:
@@ -161,16 +215,7 @@ def _validate(cfg: RunConfig) -> list[str]:
         errs.append("domain.M must be at least 2")
     if cfg.domain.eps <= 0.0:
         errs.append("domain.eps must be positive")
-    if cfg.time.T <= 0.0:
-        errs.append("time.T must be positive")
-    if cfg.time.scheme not in _SCHEMES:
-        errs.append(f"time.scheme must be one of {', '.join(_SCHEMES)}")
-    if cfg.time.tau <= 0.0:
-        errs.append("time.tau must be positive")
-    if cfg.time.n < 1:
-        errs.append("time.n must be at least 1")
-    if cfg.time.seed < 0:
-        errs.append("time.seed cannot be negative")
+    errs.extend(_time_problems(cfg.time))
     errs.extend(cfg.adaptive.problems("adaptive.{}".format))
     if cfg.init.kind not in _INIT_KINDS:
         errs.append(f"init.kind must be one of {', '.join(_INIT_KINDS)}")

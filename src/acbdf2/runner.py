@@ -15,11 +15,14 @@ which also hands back its rejected trials.  For the manufactured solution
 the loop also tracks ``err_inf``, the largest nodal error of any accepted
 level; it is returned on :class:`RunResult` and kept out of the summary.
 
-The modified energy of a level depends on the ratio of the following step,
-so each record is finalized one acceptance later; the final level uses a
-zero next ratio, collapsing its modified energy to the plain energy.  With
-fixed seeds the march is sequential and deterministic, so repeated runs
-produce byte-identical artifacts.
+The modified energy of a level depends on the ratio of the following step.
+All its field work happens when the level is accepted, in one
+:func:`acbdf2.stepper.modified_energy` call that also gives the level's
+energy; only the scalar weight of its history sum waits one acceptance for
+that ratio.  The final level uses a zero next ratio, collapsing its
+modified energy to the plain energy.  With fixed seeds the march is
+sequential and deterministic, so repeated runs produce byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .experiments import (
     coarsening_init,
     convergence_order,
     four_bubble_init,
-    random_mesh,
 )
 from .kernels import run_eta
 from .spatial import Grid2D, max_norm, read_snapshot, write_snapshot
@@ -140,12 +142,8 @@ class _Run:
         self.cfg = cfg
         self.grid = Grid2D(M=cfg.domain.M, L=cfg.domain.L, origin=cfg.domain.origin)
         self.eps = cfg.domain.eps
-        T = cfg.time.T
-        self.mesh: TimeMesh | None = None  # adaptive: the controller picks steps
-        if cfg.time.scheme == "uniform":
-            self.mesh = TimeMesh.uniform(T, max(1, round(T / cfg.time.tau)))
-        elif cfg.time.scheme == "random-mesh":
-            self.mesh = random_mesh(cfg.time.n, T, cfg.time.seed)
+        # None when adaptive: the controller picks the steps
+        self.mesh: TimeMesh | None = cfg.time.mesh()
         if self.mesh is not None:
             self.eta = run_eta(float(self.mesh.ratios.max()))
         else:
@@ -161,9 +159,9 @@ class _Run:
         u0, self.source_at, self.error_at = self._initial_state()
         self.err_inf = None if self.error_at is None else 0.0
         self.state = StepperState(u_prev=u0, u_prev2=None, n=0, t=0.0)
-        # record awaiting its modified-energy finalization
-        self.pending: StepRecord | None = None
-        # Laplacian of the current anchor state.u_prev: energy() leaves it
+        # record awaiting its modified energy, with its history sum
+        self.pending: tuple[StepRecord, float] | None = None
+        # Laplacian of the current anchor state.u_prev: the energy leaves it
         # here at setup and at every acceptance, and every solve reads it
         self.anchor_lap = np.empty_like(u0)
         self.energy_initial = energy(u0, self.grid, self.eps, self.anchor_lap)
@@ -246,20 +244,19 @@ class _Run:
     def _finalize_pending(self, ratio_next: float) -> None:
         """Fill the waiting record's modified energy; run the lagged check.
 
-        ``_accept`` stored the record's other flags; only the energy law
-        waits for the following ratio.
+        ``_accept`` stored the record's energy, history sum and other
+        flags; only the weight ``r' tau / (2 (1 + r'))`` of the sum and the
+        energy law wait for the following ratio ``r'``.
         """
-        rec = self.pending
-        if rec is None:
+        if self.pending is None:
             return
-        rec.modified_energy = modified_energy(
-            self.state.u_prev,
-            self.state.u_prev2,
-            self.state.tau_prev,
-            ratio_next,
-            self.grid,
-            self.eps,
-        )
+        rec, history = self.pending
+        if ratio_next == 0.0:
+            rec.modified_energy = rec.energy
+        else:
+            weight = ratio_next * rec.tau / (2.0 * (1.0 + ratio_next))
+            h = self.grid.h
+            rec.modified_energy = rec.energy + weight * h * h * history
         energy_law = rec.tau <= energy_law_bound(rec.ratio, ratio_next)
         self.monitors.check({"energy_law": energy_law}, ("energy_law",), rec.n)
         self.pending = None
@@ -273,13 +270,15 @@ class _Run:
     def _accept(self, u: np.ndarray, rec: StepRecord) -> None:
         """Fold an accepted level into the march state."""
         # u becomes the anchor: its Laplacian replaces the old anchor's
-        rec.energy = energy(u, self.grid, self.eps, self.anchor_lap)
+        rec.energy, history = modified_energy(
+            u, self.state.u_prev, rec.tau, self.grid, self.eps, self.anchor_lap
+        )
         if self.error_at is not None:
             self.err_inf = max(self.err_inf, self.error_at(u, rec.t))
         flags = self.monitors.evaluate(rec)
         self._finalize_pending(rec.ratio)
         self.records.append(rec)
-        self.pending = rec
+        self.pending = rec, history
         self.state = self.state.after(u, rec.tau)
         self.max_norm_overall = max(self.max_norm_overall, rec.max_norm)
         self.min_norm_overall = min(self.min_norm_overall, rec.max_norm)

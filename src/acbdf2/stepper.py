@@ -24,14 +24,19 @@ the new time: the order-2 predictor of variable-step BDF codes (Hairer,
 Norsett & Wanner, Solving ODEs I, III.5-III.7), whose error is third
 order in the step.  With two levels it starts from the
 linear extrapolation ``u^n + r (u^n - u^{n-1})``, ``r = tau / tau_prev``,
-and on the first level from ``u^n``.
+and on the first level from ``u^n``.  Newton carries its unknown as the
+increment over ``u^n``, and the start is formed as that increment, never
+as a full field.
 
 Every call on a grid works in that grid's :class:`Workspace`, one set of
 fields built on first use and reused by every later step, sweep, linear
 solve and energy, so a warmed step allocates nothing but the root it
 returns.  The one field that outlives a level, the anchor's Laplacian
-``anchor_lap``, belongs to the march: :func:`energy` leaves it when the
-march accepts a level, and every solve from that level reads it.
+``anchor_lap``, belongs to the march: :func:`modified_energy` leaves it,
+through :func:`energy`, when the march accepts a level, and every solve
+from that level reads it.  That call is all the field work of the
+level's energies; only the modified energy's weight waits for the next
+step ratio.
 """
 
 from __future__ import annotations
@@ -172,12 +177,11 @@ class Workspace:
 
     * ``lap``, ``scratch``: output and scratch of :func:`laplacian_apply`,
       and elementwise temporaries, in :func:`nonlinear_solve` and
-      :func:`_pcg`.  :func:`energy` uses ``scratch`` and writes the
-      Laplacian into the field its caller passes, which is ``lap`` when
-      :func:`modified_energy` calls it.  ``advance`` lends ``scratch`` to
-      :func:`acbdf2.adaptive.error_estimate` after each solve.
-    * ``w``, ``base``, ``lin_coef``, ``cubic_shift``: :func:`nonlinear_solve`,
-      live for the whole solve.
+      :func:`_pcg`.  :func:`energy` and :func:`modified_energy` use
+      ``scratch`` and write the Laplacian into the field their caller
+      passes, the march's ``anchor_lap``.  ``advance`` lends ``scratch``
+      to :func:`acbdf2.adaptive.error_estimate` after each solve.
+    * ``w``, ``base``: :func:`nonlinear_solve`, live for the whole solve.
     * ``residual``, ``react``, ``diag``, ``inv``: one Newton sweep: the
       linear system's right side, its reaction coefficient, the Jacobi
       diagonal and the spectral preconditioner's inverse symbol (a complex
@@ -187,17 +191,18 @@ class Workspace:
     * ``spec``, ``spec_work``: complex half spectra, the transforms of every
       preconditioner :func:`spectral_preconditioner` builds on the grid.
 
-    That is 14 real fields and three half spectra, about 17 fields; the
+    That is 12 real fields and three half spectra, about 15 fields; the
     spectra are touched only on runs that pick the spectral preconditioner.
     The real fields and the spectra are two blocks, each starting on a
     cache line (:data:`ALIGN`); at M = 128 and 256 so does every field.
-    * ``const`` (storage of ``r``), ``start`` (storage of ``z``) and
+    * ``const`` (storage of ``r``), ``start`` (storage of ``w``) and
       ``history`` (storage of ``p``): :func:`bdf2_step`'s constant term,
-      its history difference ``u^n - u^{n-1}``, which becomes the
-      extrapolated start, and the older difference ``u^{n-1} - u^{n-2}``
-      that the quadratic start adds.
-    * These three are dead once :func:`nonlinear_solve` has formed ``base``
-      and ``w``, before :func:`_pcg` first writes ``r``, ``z``, ``p`` and
+      its history difference ``u^n - u^{n-1}``, which becomes the start's
+      increment over ``u^n``, and the older difference ``u^{n-1} -
+      u^{n-2}`` that the quadratic start adds.
+    * ``start`` is :func:`nonlinear_solve`'s ``w``, which iterates it in
+      place.  ``const`` and ``history`` are dead once that solve has formed
+      ``base``, before :func:`_pcg` first writes ``r``, ``z``, ``p`` and
       ``ap``.
     * On an even grid :class:`RedBlack` carves the half-grid fields of the
       reduced solve from ``diag``, ``lap``, ``scratch``, ``r``, ``z``, ``p``
@@ -208,13 +213,13 @@ class Workspace:
     def __init__(self, M: int):
         (
             self.lap, self.scratch,
-            self.w, self.base, self.lin_coef, self.cubic_shift,
+            self.w, self.base,
             self.residual, self.react, self.diag,
             self.delta, self.r, self.z, self.p, self.ap,
-        ) = _aligned_empty((14, M, M), float)
+        ) = _aligned_empty((12, M, M), float)
         self.inv, self.spec, self.spec_work = _aligned_empty((3, M, M // 2 + 1), complex)
         self.const = self.r
-        self.start = self.z
+        self.start = self.w
         self.history = self.p
 
 
@@ -418,7 +423,8 @@ def _pcg(
     first iterate whose recurrence residual meets ``||residual||_2 <=
     max(rtol b_norm, atol)``, where ``b_norm`` defaults to ``||b||_2``; the
     absolute stop ``atol`` keeps Newton from solving a correction far below
-    what its next residual test can see.  The solution goes into ``out``.
+    what its next residual test can see.  The solution goes into ``out``,
+    which is written before it is read: the first iterate goes straight in.
     The iteration runs in the work fields of the grid's :class:`Workspace`
     or :class:`RedBlack`, ``r``, ``z``, ``p``, ``ap``, ``lap`` and
     ``scratch``, and allocates nothing, per iteration or per call.
@@ -430,9 +436,9 @@ def _pcg(
     # the residual of the zero guess
     r0 = math.sqrt(float(np.dot(bf, bf)))
     x = out
-    x.fill(0.0)
     target = max(rtol * (r0 if b_norm is None else b_norm), atol)
     if r0 <= target:
+        x.fill(0.0)
         return x
     r, z, p, ap, lap, scratch = ws.r, ws.z, ws.p, ws.ap, ws.lap, ws.scratch
     np.copyto(r, b)
@@ -443,7 +449,7 @@ def _pcg(
     pf = p.ravel()
     apf = ap.ravel()
     rz = float(np.dot(rf, zf))
-    for _ in range(max_iter):
+    for k in range(max_iter):
         if full:
             laplacian_apply(p, h, out=lap, scratch=scratch)
         else:
@@ -452,8 +458,12 @@ def _pcg(
         lap *= e2
         ap -= lap
         alpha = rz / float(np.dot(pf, apf))
-        np.multiply(p, alpha, out=scratch)
-        x += scratch
+        if k:
+            np.multiply(p, alpha, out=scratch)
+            x += scratch
+        else:
+            # the first iterate of the zero guess
+            np.multiply(p, alpha, out=x)
         np.multiply(ap, alpha, out=scratch)
         r -= scratch
         if math.sqrt(float(np.dot(rf, rf))) <= target:
@@ -559,7 +569,7 @@ def finishes(res: float, u_max: float, b0: float, tol: float) -> bool:
 
 
 def nonlinear_solve(
-    u0: np.ndarray,
+    w0: np.ndarray,
     const: np.ndarray,
     b0: float,
     grid: Grid2D,
@@ -569,18 +579,21 @@ def nonlinear_solve(
     anchor: np.ndarray,
     anchor_lap: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Solve ``b0 (u - anchor) - eps^2 Lap u + u^3 - u = const`` from ``u0``.
+    """Solve ``b0 (u - anchor) - eps^2 Lap u + u^3 - u = const`` from ``anchor + w0``.
 
-    ``anchor_lap`` must hold ``laplacian_apply(anchor)``.  A march keeps the
-    field :func:`energy` leaves when it accepts the anchor; any other caller
-    forms it with :func:`acbdf2.spatial.laplacian_apply`.
+    ``w0`` is the start's increment over the anchor, not the start itself.
+    It may be the grid workspace's ``start``, which the solve then iterates
+    in place; any other field is only read.  ``anchor_lap`` must hold
+    ``laplacian_apply(anchor)``.  A march keeps the field
+    :func:`modified_energy` leaves when it accepts the anchor; any other
+    caller forms it with :func:`acbdf2.spatial.laplacian_apply`.
 
-    The unknown is carried internally as the increment ``w = u - anchor``
-    and the cubic is expanded about the anchor, so every ``w``-dependent
-    term of the residual scales with ``w`` itself.  For short steps ``b0``
-    is huge and the naive form cannot converge: one ulp of ``u`` already
-    moves ``b0 u`` by more than the tolerance, while one ulp of the small
-    increment moves it by a negligible amount.
+    The unknown is carried as the increment ``w = u - anchor``, so the
+    stiff term enters the residual as ``b0 w``.  For short steps ``b0`` is
+    huge and the naive form cannot converge: one ulp of ``u`` already moves
+    ``b0 u`` by more than the tolerance, while one ulp of the small
+    increment moves ``b0 w`` by a negligible amount.  The other terms are
+    of order one and evaluated at ``u = anchor + w``.
 
     Returns the root and the number of Newton sweeps; a start point
     already at the root counts as one sweep.  The residual test
@@ -607,10 +620,12 @@ def nonlinear_solve(
     evaluation could make it miss.  Each linear solve takes the
     preconditioner :func:`spectral_pays` picks for its reaction range; the
     spectral one is built once per solve, and the Jacobi side runs
-    :func:`_jacobi_pcg`, on the red points alone where ``M`` is even.
+    :func:`_jacobi_pcg`, on the red points alone where ``M`` is even.  CG
+    solves ``J delta = F`` against the residual as it stands, and the sweep
+    subtracts ``delta``.
 
     Everything but the returned root lives in the grid's :class:`Workspace`.
-    ``u0``, ``const`` and ``anchor_lap`` are read only before the first
+    ``w0``, ``const`` and ``anchor_lap`` are read only before the first
     sweep; ``anchor`` also on every sweep, to form the root ``anchor + w``.
     """
     h = grid.h
@@ -619,18 +634,12 @@ def nonlinear_solve(
     lap, scratch, residual = ws.lap, ws.scratch, ws.residual
     react, w, base = ws.react, ws.w, ws.base
 
-    # base residual at w = 0: everything that does not move with w
-    np.subtract(u0, anchor, out=w)
-    np.multiply(anchor, anchor, out=base)
-    base -= 1.0
-    base *= anchor
-    base -= np.multiply(anchor_lap, e2, out=lap)
+    if w0 is not w:
+        np.copyto(w, w0)
+    # the part of the residual that no sweep changes: -e2 Lap a - const
+    np.multiply(anchor_lap, -e2, out=base)
     base -= const
-    # b0 - 1 + (3 a) a
-    cubic_shift = np.multiply(anchor, 3.0, out=ws.cubic_shift)
-    lin_coef = np.multiply(cubic_shift, anchor, out=ws.lin_coef)
-    lin_coef += b0 - 1.0
-    u = np.empty_like(u0, order="C")
+    u = np.empty_like(anchor, order="C")
     res_prev = None
     proven = False
     spectral = None
@@ -638,21 +647,19 @@ def nonlinear_solve(
         if proven:
             # the last correction provably met the tolerance (finishes)
             return np.add(anchor, w, out=u), sweep
-        # residual in increment form:
-        #   (b0 - 1 + 3 a^2) w + (3 a + w) w^2 - e2 Lap w + base
-        laplacian_apply(w, h, out=lap, scratch=scratch)
-        np.multiply(w, w, out=residual)
-        np.add(cubic_shift, w, out=scratch)
-        residual *= scratch
-        np.multiply(lin_coef, w, out=scratch)
-        residual += scratch
-        np.multiply(lap, e2, out=scratch)
-        residual -= scratch
+        # residual (u^2 - 1) u + b0 w + base - e2 Lap w, with e2 Lap w
+        # the Laplacian at spacing h / eps
+        np.add(anchor, w, out=u)
+        laplacian_apply(w, h / eps, out=lap, scratch=scratch)
+        np.multiply(u, u, out=residual)
+        residual -= 1.0
+        residual *= u
+        residual += np.multiply(w, b0, out=scratch)
         residual += base
+        residual -= lap
         res_norm = max_norm(residual)
         if not math.isfinite(res_norm):
             raise NewtonDiverged(f"non-finite residual in Newton sweep {sweep}")
-        np.add(anchor, w, out=u)
         if res_norm <= cfg.tol:
             return u, sweep
         u_max = max_norm(u)
@@ -667,19 +674,18 @@ def nonlinear_solve(
         np.multiply(u, u, out=react)
         react *= 3.0
         react += b0 - 1.0
-        np.negative(residual, out=residual)
         # react.max() bit for bit: each rounded step is monotone in |u|
         if spectral_pays(u_max * u_max * 3.0 + (b0 - 1.0), e2, h):
             # its symbol depends on b0 alone: built once, on the first
             # sweep that picks it
             if spectral is None:
                 spectral = spectral_preconditioner(grid, b0 - 1.0, e2)
-            w += _pcg(
+            w -= _pcg(
                 react, e2, grid, residual, spectral, rtol_k, LIN_MAX_ITER,
                 out=ws.delta, atol=0.5 * cfg.tol,
             )
         else:
-            w += _jacobi_pcg(
+            w -= _jacobi_pcg(
                 react, e2, grid, residual, rtol_k, LIN_MAX_ITER,
                 out=ws.delta, atol=0.5 * cfg.tol,
             )
@@ -708,7 +714,9 @@ def bdf2_step(
     starts from the state's levels extrapolated to ``t + tau``: the
     quadratic through ``u_prev3``, ``u_prev2`` and ``u_prev`` when the state
     holds all three, the line through the last two when it holds two, and
-    ``u_prev`` itself on the first level.  Does not mutate ``state``.
+    ``u_prev`` itself on the first level.  The start goes to the solve as
+    its increment over ``u_prev``, formed in the workspace's ``start``.
+    Does not mutate ``state``.
 
     Raises :class:`SolvabilityViolated` when ``tau`` is at or above the
     unique-solvability bound, :class:`NewtonDiverged` on iteration failure.
@@ -721,20 +729,18 @@ def bdf2_step(
             f"solvability bound {solvability_bound(ratio):g}"
         )
     ws = workspace(grid)
-    const = ws.const
+    const, start = ws.const, ws.start
     if state.u_prev2 is not None:
         # one history difference a = u^n - u^{n-1} serves the constant
         # and the start
-        start = np.subtract(state.u_prev, state.u_prev2, out=ws.start)
-        np.multiply(start, kernels.b1, out=const)
-        # 0 - b1 a rather than -(b1 a): zeros then carry the sign that
-        # subtracting from a zero field gives them
-        np.subtract(0.0, const, out=const)
+        np.subtract(state.u_prev, state.u_prev2, out=start)
+        np.multiply(start, -kernels.b1, out=const)
         if state.u_prev3 is None:
             start *= ratio
         else:
-            # the quadratic through the last three levels at t + tau,
-            #   u^n + r a + c (a / tau_n - b / tau_{n-1}),
+            # the quadratic through the last three levels at t + tau, as
+            # an increment over u^n:
+            #   r a + c (a / tau_n - b / tau_{n-1}),
             # a = u^n - u^{n-1}, b = u^{n-1} - u^{n-2},
             # c = tau (tau + tau_n) / (tau_n + tau_{n-1})
             tau_n, tau_n1 = state.tau_prev, state.tau_prev2
@@ -743,10 +749,9 @@ def bdf2_step(
             older *= c / tau_n1
             start *= ratio + c / tau_n
             start -= older
-        start += state.u_prev
     else:
         const.fill(0.0)
-        start = state.u_prev
+        start.fill(0.0)
     if source_at is not None:
         const += source_at(state.t + tau)
     return nonlinear_solve(
@@ -774,25 +779,23 @@ def energy(u: np.ndarray, grid: Grid2D, eps: float, lap: np.ndarray) -> float:
 
 
 def modified_energy(
-    u_curr: np.ndarray,
+    u: np.ndarray,
     u_prev: np.ndarray,
     tau: float,
-    ratio_next: float,
     grid: Grid2D,
     eps: float,
-) -> float:
-    """Energy plus the history term that makes dissipation provable.
+    lap: np.ndarray,
+) -> tuple[float, float]:
+    """All the field work of a level's two energies: ``(E[u], S)``.
 
-    ``E[u] + r' tau / (2 (1 + r')) h^2 sum ((u - u_prev)/tau)^2`` with
-    ``r'`` the next step ratio; pass 0 after the final step, which reduces
-    the value to the plain energy.  Never below the plain energy.
+    ``E[u]`` is :func:`energy`, which leaves ``Lap u`` in ``lap``, and
+    ``S = sum ((u - u_prev) / tau)^2`` is the history sum of the step
+    ``tau`` from ``u_prev`` to ``u``.  The modified energy that makes
+    dissipation provable is ``E[u] + r' tau / (2 (1 + r')) h^2 S``, with
+    ``r'`` the next step ratio: 0 after the final step, where it is the
+    plain energy, and never below it.  Only that scalar waits for ``r'``.
     """
-    ws = workspace(grid)
-    base = energy(u_curr, grid, eps, ws.lap)
-    if ratio_next == 0.0:
-        return base
-    diff = np.subtract(u_curr, u_prev, out=ws.lap)
+    e = energy(u, grid, eps, lap)
+    diff = np.subtract(u, u_prev, out=workspace(grid).scratch)
     diff /= tau
-    weight = ratio_next * tau / (2.0 * (1.0 + ratio_next))
-    sq = np.multiply(diff, diff, out=ws.scratch)
-    return base + weight * grid.h * grid.h * float(np.sum(sq))
+    return e, float(np.sum(np.multiply(diff, diff, out=diff)))

@@ -1,10 +1,12 @@
-"""Reference forms of the paper's kernel statements, for the tests alone.
+"""Reference forms of the paper's statements, for the tests alone.
 
 The solver never builds a mesh from its ratios, never needs the smallest
 admissible recombination weight and never sums a full history; these forms
 exist so the tests can check the solver's own kernels (``step_kernels``,
 ``recombined_kernels``, ``run_eta``, ``complementary_row``) against the
-paper's identities.
+paper's identities.  :func:`modified_energy_value` writes out the paper's
+modified energy from the two sums ``acbdf2.stepper.modified_energy``
+returns, as the march assembles it one acceptance later.
 """
 
 import numpy as np
@@ -52,3 +54,12 @@ def apply_recombined(values, d_row, eta):
     for j in range(1, n + 1):
         acc = acc + d_row[n - j] * (vbar[j] - vbar[j - 1])
     return acc
+
+
+def modified_energy_value(energy, history, tau, ratio_next, h):
+    """``E + r' tau / (2 (1 + r')) h^2 S``, the modified energy at next ratio ``r'``.
+
+    ``energy`` is ``E[u^n]`` and ``history`` the sum ``S = sum ((u^n -
+    u^{n-1}) / tau)^2`` of the step ``tau`` that ended at ``u^n``.
+    """
+    return energy + ratio_next * tau / (2.0 * (1.0 + ratio_next)) * h * h * history

@@ -85,15 +85,24 @@ def bubbles_uniform():
     return timed_run(FOUR_BUBBLE_BASE + "time.scheme = uniform\ntime.tau = 1e-3\n")
 
 
-@pytest.fixture(scope="module")
-def bubbles_adaptive():
+def adaptive_bubbles(tol):
     extra = (
         "time.scheme = adaptive\n"
-        "adaptive.tol = 1e-4\n"
+        f"adaptive.tol = {tol}\n"
         "adaptive.tau_max = 0.1\n"
         "adaptive.tau_min = 1e-3\n"
     )
     return timed_run(FOUR_BUBBLE_BASE + extra)
+
+
+@pytest.fixture(scope="module")
+def bubbles_adaptive():
+    return adaptive_bubbles(1e-4)
+
+
+@pytest.fixture(scope="module")
+def bubbles_adaptive_loose():
+    return adaptive_bubbles(1e-3)
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +282,26 @@ def test_criterion_7_adaptive_efficiency(bubbles_uniform, bubbles_adaptive):
         "adaptive matches the uniform reference at a fraction of the steps",
         ok,
         f"{n_ada} vs {n_uni} steps, energy diff {rel:.2e}, field diff {field_err:.2e}",
+    )
+
+
+def test_criterion_7_error_falls_with_the_tolerance(
+    bubbles_uniform, bubbles_adaptive, bubbles_adaptive_loose
+):
+    # the final field's distance to the uniform reference at T = 30 fell
+    # from 2.57e-4 at tol = 1e-3 to 7.60e-5 at tol = 1e-4, 3.39 times, about
+    # tol^0.5.  An estimate ten times too small runs each march a decade
+    # looser: both then measured 2.57e-4, a drop of 1.00
+    uni = bubbles_uniform[0].u_final
+    err_loose = max_norm(bubbles_adaptive_loose[0].u_final - uni)
+    err = max_norm(bubbles_adaptive[0].u_final - uni)
+    drop = err_loose / err
+    ok = err_loose <= 4e-4 and drop >= 2.5
+    report(
+        7,
+        "the adaptive error falls with the tolerance",
+        ok,
+        f"field diff {err_loose:.2e} at tol 1e-3, {err:.2e} at tol 1e-4, drop {drop:.2f}x",
     )
 
 

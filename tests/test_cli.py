@@ -99,10 +99,23 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
 
     def test_solver_failure(self, tmp_path, capsys):
-        # first step of size 1.2 is beyond the ratio-0 solvability bound
-        cfg = write_config(tmp_path, QUICK.replace("time.tau = 0.1", "time.tau = 1.2").replace("time.T = 0.5", "time.T = 2.4"))
+        # the controller's first trial of size 1.2 is beyond the ratio-0
+        # solvability bound; validation checks fixed meshes only
+        text = QUICK.replace("time.tau = 0.1", "time.tau = 1.2").replace(
+            "time.T = 0.5", "time.T = 2.4"
+        ).replace("time.scheme = uniform", "time.scheme = adaptive")
+        cfg = write_config(tmp_path, text + "adaptive.tau_max = 1.2\n")
         assert main(["run", cfg]) == EXIT_SOLVER
         assert "solver failure" in capsys.readouterr().err
+
+    def test_fixed_mesh_past_the_solvability_bound_is_a_config_error(self, tmp_path, capsys):
+        # a uniform step of 1.2 would stop the run at step 1: the config
+        # is refused before any solve
+        text = QUICK.replace("time.tau = 0.1", "time.tau = 1.2").replace(
+            "time.T = 0.5", "time.T = 2.4"
+        )
+        assert main(["run", write_config(tmp_path, text)]) == EXIT_CONFIG
+        assert "step 1 of the time mesh, tau = 1.2 at ratio 0" in capsys.readouterr().err
 
     def test_zero_reference_is_a_solver_failure(self, tmp_path, capsys):
         # zero data stays zero, so the adaptive error estimate has no scale

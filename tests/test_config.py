@@ -4,10 +4,13 @@ import dataclasses
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from acbdf2 import config
 from acbdf2.config import _SCHEMA, ConfigError, RunConfig, parse_config
-from acbdf2.experiments import MMS_EPS2
+from acbdf2.experiments import MMS_EPS2, random_mesh
+from acbdf2.time_mesh import solvability_bound
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 SECTIONS = [f.name for f in dataclasses.fields(RunConfig) if f.name != "explicit_keys"]
@@ -128,6 +131,60 @@ class TestErrors:
     def test_validation_messages(self, doc, needle):
         with pytest.raises(ConfigError, match=needle):
             parse_config(doc)
+
+
+class TestSolvability:
+    """A fixed mesh is checked step by step against ``tau < (1 + 2 r) / (1 + r)``."""
+
+    def test_uniform_first_step_at_the_bound(self):
+        # the first step has ratio 0 and bound 1; the shipped coarsening
+        # run at tau = 2 would stop there
+        text = (CONFIGS_DIR / "coarsening_uniform.conf").read_text()
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text + "time.tau = 2\n")
+        assert excinfo.value.errors == [
+            "step 1 of the time mesh, tau = 2 at ratio 0, reaches the solvability bound 1"
+        ]
+        with pytest.raises(ConfigError, match="step 1 of the time mesh"):
+            parse_config("time.T = 1\ntime.tau = 1\n")
+        assert parse_config("time.T = 0.99\ntime.tau = 0.99\n").time.tau == 0.99
+
+    def test_single_step_random_mesh(self):
+        text = (CONFIGS_DIR / "mms_single.conf").read_text()
+        with pytest.raises(ConfigError, match="step 1 of the time mesh, tau = 1 at ratio 0"):
+            parse_config(text + "time.n = 1\n")
+
+    def test_random_mesh_names_its_first_failing_step(self):
+        # seed 12 draws steps 0.48, 1.81, 0.36, 0.34: the second step, at
+        # ratio 3.78, lies past its bound 1.79
+        doc = "time.scheme = random-mesh\ntime.T = 3\ntime.n = 4\ntime.seed = 12\n"
+        with pytest.raises(ConfigError, match="step 2 of the time mesh, tau = 1.81"):
+            parse_config(doc)
+        assert parse_config(doc.replace("time.T = 3", "time.T = 1")).time.n == 4
+
+    @pytest.mark.parametrize("n", [2, 3, 40])
+    def test_random_mesh_within_the_unit_horizon_is_never_drawn(self, monkeypatch, n):
+        # with more than one step on T <= 1 no step can reach its bound, so
+        # validation does not draw the mesh; the draws agree
+        def no_draw(*args):
+            raise AssertionError("validation drew the mesh")
+
+        monkeypatch.setattr(config, "random_mesh", no_draw)
+        for T in (1.0, 0.5):
+            parse_config(f"time.scheme = random-mesh\ntime.T = {T}\ntime.n = {n}\n")
+        monkeypatch.undo()
+        for seed in range(200):
+            mesh = random_mesh(n, 1.0, seed)
+            assert np.all(mesh.steps < solvability_bound(mesh.ratios)), seed
+
+    def test_adaptive_runs_are_not_checked_ahead(self):
+        # the controller picks its steps during the run
+        cfg = parse_config("time.scheme = adaptive\ntime.tau = 2\nadaptive.tau_max = 2\n")
+        assert cfg.time.mesh() is None
+
+    def test_a_mesh_that_cannot_be_built_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="time mesh"):
+            parse_config("time.T = 1e300\ntime.tau = 1e-300\n")
 
 
 class TestMmsCoupling:

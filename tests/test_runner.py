@@ -17,6 +17,8 @@ from acbdf2.spatial import Grid2D, laplacian_apply, read_snapshot, write_snapsho
 from acbdf2.stepper import StepRecord, energy
 from acbdf2.time_mesh import RATIO_CEILING, TimeMesh, constraint_flags
 
+from paper_forms import modified_energy_value
+
 BASE = """
 domain.L = 1.0
 domain.M = 32
@@ -79,6 +81,72 @@ class TestUniformMarch:
         res = run_text(BASE)
         me = [r.modified_energy for r in res.records]
         assert all(b <= a + 1e-14 for a, b in zip(me, me[1:]))
+
+
+class TestLevelWork:
+    """An accepted level's field work outside CG, and the energies it yields."""
+
+    BUBBLES = """
+domain.L = 2.0
+domain.M = 32
+domain.eps = 0.02
+domain.origin = -1.0
+time.T = 0.01
+time.scheme = uniform
+time.tau = 1e-3
+init.kind = four_bubble
+output.dir =
+"""
+
+    def test_uniform_level_applies_two_laplacians_and_one_energy(self, monkeypatch):
+        # one Laplacian for the Newton residual and one for the energy,
+        # which the next level's solve keeps as its anchor_lap; one energy
+        # call serves both the row's energy and its modified energy
+        calls = {"lap": 0, "energy": 0}
+
+        def counted(fn, key):
+            def call(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(stepper, "laplacian_apply", counted(stepper.laplacian_apply, "lap"))
+        for module in (stepper, runner):
+            monkeypatch.setattr(module, "energy", counted(module.energy, "energy"))
+        res = run_text(self.BUBBLES)
+        levels = res.summary["total_steps"]
+        assert levels == 10
+        # the finishing rule ends every two-step solve after one residual;
+        # the first level's one-step solve evaluates one more
+        assert [r.newton_iters for r in res.records] == [3] + [2] * (levels - 1)
+        # the initial energy, then per level one residual and one energy
+        assert calls["lap"] == 1 + 2 * levels + 1
+        assert calls["energy"] == 1 + levels
+
+    def test_rows_carry_the_paper_modified_energy(self, monkeypatch):
+        # each row's E + r' tau / (2 (1 + r')) h^2 sum ((u^n - u^{n-1}) / tau)^2,
+        # with r' the next row's ratio and 0 on the last row
+        levels = []
+        step = runner.bdf2_step
+
+        def recorded(state, *args, **kwargs):
+            if not levels:
+                levels.append(state.u_prev)
+            u, sweeps = step(state, *args, **kwargs)
+            levels.append(u)
+            return u, sweeps
+
+        monkeypatch.setattr(runner, "bdf2_step", recorded)
+        res = run_text(BASE + "time.scheme = random-mesh\ntime.n = 8\ntime.seed = 7\n")
+        grid = Grid2D(M=32, L=1.0)
+        ratios_next = [r.ratio for r in res.records[1:]] + [0.0]
+        for k, (rec, r_next) in enumerate(zip(res.records, ratios_next), start=1):
+            u, u_prev = levels[k], levels[k - 1]
+            e = energy(u, grid, 0.02, np.empty_like(u))
+            history = float(np.sum(((u - u_prev) / rec.tau) ** 2))
+            want = modified_energy_value(e, history, rec.tau, r_next, grid.h)
+            assert rec.energy == pytest.approx(e, rel=1e-14, abs=0.0)
+            assert rec.modified_energy == pytest.approx(want, rel=1e-13, abs=0.0), k
 
 
 class TestMeshRecords:
@@ -333,12 +401,12 @@ class TestAnchorLaplacian:
         anchors = []
         solve = stepper.nonlinear_solve
 
-        def checked(u0, const, b0, grid, eps, cfg, *, anchor, anchor_lap):
+        def checked(w0, const, b0, grid, eps, cfg, *, anchor, anchor_lap):
             # bit equality: the kept field must be the very same Laplacian
             want = laplacian_apply(anchor, grid.h)
             assert anchor_lap.tobytes() == want.tobytes(), len(anchors)
             anchors.append(anchor)
-            return solve(u0, const, b0, grid, eps, cfg, anchor=anchor, anchor_lap=anchor_lap)
+            return solve(w0, const, b0, grid, eps, cfg, anchor=anchor, anchor_lap=anchor_lap)
 
         monkeypatch.setattr(stepper, "nonlinear_solve", checked)
         return anchors

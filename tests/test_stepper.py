@@ -25,6 +25,7 @@ from acbdf2.stepper import (
 )
 
 from conftest import dense_laplacian, peak_fields
+from paper_forms import modified_energy_value
 
 
 def residual_of(u, const, b0, grid, eps):
@@ -136,7 +137,7 @@ class TestSpectralPreconditioner:
         anchor = rng.uniform(-1.0, 1.0, (64, 64))
         const = rng.uniform(-1.0, 1.0, (64, 64))
         _, sweeps = nonlinear_solve(
-            anchor, const, b0, grid, eps, NewtonConfig(),
+            np.zeros_like(anchor), const, b0, grid, eps, NewtonConfig(),
             anchor=anchor, anchor_lap=laplacian_apply(anchor, grid.h),
         )
         assert sweeps >= 3
@@ -188,13 +189,14 @@ class TestNonlinearSolve:
         assert max_norm(residual_of(u, const, 5.0, grid, 0.1)) <= 1e-11
 
     def test_anchor_shifts_the_constant(self, rng):
-        # b0 (u - a) + f(u) - e2 Lap u = c  <=>  plain form with c + b0 a
+        # b0 (u - a) + f(u) - e2 Lap u = c  <=>  plain form with c + b0 a;
+        # both solves start from the anchor
         grid = Grid2D(M=16, L=1.0)
         anchor = 0.5 * np.cos(2.0 * math.pi * grid.meshgrid()[0])
         const = 0.3 * np.sin(2.0 * math.pi * grid.meshgrid()[1])
         b0, eps = 4.0, 0.1
         ua, _ = nonlinear_solve(
-            anchor.copy(), const, b0, grid, eps, self.CFG,
+            np.zeros_like(anchor), const, b0, grid, eps, self.CFG,
             anchor=anchor, anchor_lap=laplacian_apply(anchor, grid.h),
         )
         zero = np.zeros_like(anchor)
@@ -212,7 +214,7 @@ class TestNonlinearSolve:
         anchor = 0.7 * np.sin(2.0 * math.pi * X) * np.sin(2.0 * math.pi * Y)
         const = 0.4 * np.cos(2.0 * math.pi * Y)
         u, sweeps = nonlinear_solve(
-            anchor.copy(), const, 1.6e4, grid, 0.05, self.CFG,
+            np.zeros_like(anchor), const, 1.6e4, grid, 0.05, self.CFG,
             anchor=anchor, anchor_lap=laplacian_apply(anchor, grid.h),
         )
         assert sweeps <= 6
@@ -314,7 +316,7 @@ class TestNewtonStops:
         anchor = rng.uniform(-1.0, 1.0, (16, 16))
         grid = Grid2D(M=16, L=1.0)
         nonlinear_solve(
-            anchor, np.ones_like(anchor), 3.0, grid, 0.05, cfg,
+            np.zeros_like(anchor), np.ones_like(anchor), 3.0, grid, 0.05, cfg,
             anchor=anchor, anchor_lap=laplacian_apply(anchor, grid.h),
         )
         assert stops and set(stops) == {0.5 * cfg.tol}
@@ -382,7 +384,8 @@ class TestNewtonStops:
             const = rng.uniform(-1.0, 1.0, (M, M))
             verdicts.clear()
             u, sweeps = nonlinear_solve(
-                anchor, const, b0, grid, eps, cfg, anchor=anchor, anchor_lap=anchor_lap
+                np.zeros_like(anchor), const, b0, grid, eps, cfg,
+                anchor=anchor, anchor_lap=anchor_lap,
             )
             # one verdict per sweep that missed the tolerance
             assert len(verdicts) == sweeps - 1
@@ -393,7 +396,8 @@ class TestNewtonStops:
                 # residual; the root it returned must pass that test
                 verdicts.clear()
                 _, again = nonlinear_solve(
-                    u, const, b0, grid, eps, cfg, anchor=anchor, anchor_lap=anchor_lap
+                    u - anchor, const, b0, grid, eps, cfg,
+                    anchor=anchor, anchor_lap=anchor_lap,
                 )
                 assert again == 1, (seed, b0)
         assert fired >= 40
@@ -456,7 +460,7 @@ class TestRedBlack:
         grid = Grid2D(M=M, L=1.0)
         anchor = rng.uniform(-1.0, 1.0, (M, M))
         nonlinear_solve(
-            anchor, np.ones_like(anchor), 3.0, grid, 0.05, NewtonConfig(),
+            np.zeros_like(anchor), np.ones_like(anchor), 3.0, grid, 0.05, NewtonConfig(),
             anchor=anchor, anchor_lap=laplacian_apply(anchor, grid.h),
         )
         reduced = (2, M // 2, M // 2) if M % 2 == 0 else (M, M)
@@ -554,8 +558,10 @@ class TestExtrapolatedStart:
     """Newton starts from the levels so far, extrapolated to the new time.
 
     With three levels the start is the quadratic through them, with two the
-    line ``u^n + r (u^n - u^{n-1})``.  The reference march below is the
-    start from the previous level, written out with :func:`nonlinear_solve`.  Both starts solve the same system to
+    line ``u^n + r (u^n - u^{n-1})``; :func:`nonlinear_solve` takes the start
+    as its increment over ``u^n``.  The reference march below is the start
+    from the previous level, a zero increment, written out with
+    :func:`nonlinear_solve`.  Both starts solve the same system to
     the same residual tolerance, so their roots may differ by about
     ``newton.tol`` per level; :data:`ROOT_BOUND` allows ten times that.
     """
@@ -574,7 +580,7 @@ class TestExtrapolatedStart:
             if u_prev2 is not None:
                 const -= k.b1 * (u_prev - u_prev2)
             u, sweeps = nonlinear_solve(
-                u_prev, const, k.b0, self.GRID, self.EPS, self.CFG,
+                np.zeros_like(u_prev), const, k.b0, self.GRID, self.EPS, self.CFG,
                 anchor=u_prev, anchor_lap=laplacian_apply(u_prev, self.GRID.h),
             )
             levels.append((u, sweeps))
@@ -614,7 +620,7 @@ class TestExtrapolatedStart:
         )
         k = step_kernels(tau, tau / 0.1)
         want, want_sweeps = nonlinear_solve(
-            u, np.zeros_like(u), k.b0, self.GRID, self.EPS, self.CFG,
+            np.zeros_like(u), np.zeros_like(u), k.b0, self.GRID, self.EPS, self.CFG,
             anchor=u, anchor_lap=anchor_lap,
         )
         np.testing.assert_array_equal(got, want)
@@ -638,9 +644,10 @@ class TestExtrapolatedStart:
         starts = []
         solve = stepper.nonlinear_solve
 
-        def recorded(u0, *args, **kwargs):
-            starts.append(u0.copy())
-            return solve(u0, *args, **kwargs)
+        def recorded(w0, *args, **kwargs):
+            # the start, from its increment over the anchor
+            starts.append(kwargs["anchor"] + w0)
+            return solve(w0, *args, **kwargs)
 
         monkeypatch.setattr(stepper, "nonlinear_solve", recorded)
         bdf2_step(
@@ -700,7 +707,7 @@ class TestWorkspace:
 
         def both():
             energy(state.u_prev, self.GRID, self.EPS, lap)
-            modified_energy(state.u_prev, state.u_prev2, self.TAU, 1.0, self.GRID, self.EPS)
+            modified_energy(state.u_prev, state.u_prev2, self.TAU, self.GRID, self.EPS, lap)
 
         assert peak_fields(self.GRID, both) < 0.5
 
@@ -791,12 +798,15 @@ class TestEnergies:
         np.testing.assert_array_equal(lap, laplacian_apply(u, grid.h))
 
     def test_modified_energy_reduces_to_plain(self, rng):
+        # the march takes both from this one call: the row's energy, the
+        # modified energy at a zero next ratio, and the next anchor_lap
         grid = Grid2D(M=16, L=1.0)
         u = rng.uniform(-1.0, 1.0, (16, 16))
         v = rng.uniform(-1.0, 1.0, (16, 16))
-        assert modified_energy(u, v, 0.1, 0.0, grid, 0.05) == energy(
-            u, grid, 0.05, np.empty_like(u)
-        )
+        lap = np.empty_like(u)
+        e, _ = modified_energy(u, v, 0.1, grid, 0.05, lap)
+        assert e == energy(u, grid, 0.05, np.empty_like(u))
+        np.testing.assert_array_equal(lap, laplacian_apply(u, grid.h))
 
     def test_modified_energy_frozen_value(self):
         # pure phases, jump 1/2 over tau = 0.1 at next ratio 1:
@@ -804,15 +814,19 @@ class TestEnergies:
         grid = Grid2D(M=8, L=1.0)
         u = np.ones((8, 8))
         v = np.full((8, 8), 0.5)
-        got = modified_energy(u, v, 0.1, 1.0, grid, 0.05)
+        e, history = modified_energy(u, v, 0.1, grid, 0.05, np.empty_like(u))
+        assert e == 0.0
+        assert history == pytest.approx(64 * 25.0, rel=1e-13)
+        got = modified_energy_value(e, history, 0.1, 1.0, grid.h)
         assert got == pytest.approx(0.625, rel=1e-13)
 
     def test_modified_energy_never_below_plain(self, rng):
         grid = Grid2D(M=16, L=1.0)
         u = rng.uniform(-1.0, 1.0, (16, 16))
         v = rng.uniform(-1.0, 1.0, (16, 16))
+        e, history = modified_energy(u, v, 0.2, grid, 0.05, np.empty_like(u))
+        assert history >= 0.0
         for r_next in (0.5, 1.0, 3.0):
-            assert modified_energy(u, v, 0.2, r_next, grid, 0.05) >= energy(
+            assert modified_energy_value(e, history, 0.2, r_next, grid.h) >= energy(
                 u, grid, 0.05, np.empty_like(u)
             )
-

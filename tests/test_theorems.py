@@ -32,6 +32,8 @@ from acbdf2.time_mesh import (
     max_principle_bound,
 )
 
+from paper_forms import modified_energy_value
+
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
@@ -114,9 +116,11 @@ def test_modified_energy_never_rises(case, ratios):
     # the first branch of the bound is the solvability bound, which is strict
     steps = (1.0 - 1e-9) * steps_within(ratios, bounds)
     levels = march(u0, steps, grid, eps)
-    prev = energy(u0, grid, eps, np.empty_like(u0))
+    lap = np.empty_like(u0)
+    prev = energy(u0, grid, eps, lap)
     for k in range(1, STEPS + 1):
-        cur = modified_energy(levels[k], levels[k - 1], steps[k - 1], r_next[k - 1], grid, eps)
+        e, history = modified_energy(levels[k], levels[k - 1], steps[k - 1], grid, eps, lap)
+        cur = modified_energy_value(e, history, steps[k - 1], r_next[k - 1], grid.h)
         # rounding slack only: the sums carry about 1e-15 relative error
         assert cur <= prev + 1e-12 * max(1.0, abs(prev)), (k, prev, cur)
         prev = cur
