@@ -28,13 +28,15 @@ clamped to ``[tau_min, tau_max]``, and on acceptance additionally capped so
 the realized step ratio never exceeds ``ratio_cap`` (the cap keeps every
 accepted ratio inside the zero-stability window; a large cap, such as
 ``1e9``, never binds).  A cap below 1 would shrink every accepted step, past
-``tau_min``, so validation rejects it.  A rejected level is recomputed with
-the shrunken step; the shrink factor is at most ``rho < 1`` per rejection,
-and a step that keeps failing after ``max_rejects`` tries raises
-:class:`TooManyRejects`.  So does a rejection whose next trial would be
-the same step, as at the floor ``tau_min``: the solve is deterministic
-and would fail again.  Both norms of the estimate are the grid-weighted
-l2 norm.
+``tau_min``, so validation rejects it.  Every trial is also cut to a
+relative ``1e-9`` below the largest step the solvability bound admits, even
+where that lies below ``tau_min``, so no trial fails that bound.  A rejected
+level is recomputed with the shrunken step; the shrink factor is at most
+``rho < 1`` per rejection, and a step that keeps failing after
+``max_rejects`` tries raises :class:`TooManyRejects`.  So does a rejection
+whose next trial would be the same step, as at the floor ``tau_min``: the
+solve is deterministic and would fail again.  Both norms of the estimate
+are the grid-weighted l2 norm.
 """
 
 from __future__ import annotations
@@ -45,11 +47,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spatial import Grid2D, l2_norm
-from .stepper import NewtonConfig, StepRecord, StepperState, bdf2_step, workspace
+from .stepper import NewtonConfig, SolverFailure, StepRecord, StepperState, bdf2_step, workspace
 from .time_mesh import RATIO_CEILING
 
 
-class TooManyRejects(RuntimeError):
+class TooManyRejects(SolverFailure):
     """A level kept failing the accuracy test after the allowed retries.
 
     Carries the records of the level's rejected trials, as
@@ -61,12 +63,11 @@ class TooManyRejects(RuntimeError):
         self.rejected = rejected
 
 
-class ZeroReference(RuntimeError):
+class ZeroReference(SolverFailure):
     """Error estimate undefined because the reference solution is zero.
 
-    A solver failure, not a configuration error: an adaptive march whose
-    field is exactly zero, such as coarsening from zero data, hits it from an
-    admissible config.
+    An adaptive march whose field is exactly zero, such as coarsening from
+    zero data, hits it from an admissible config.
     """
 
 
@@ -178,6 +179,10 @@ def advance(
     """
     rejected: list[StepRecord] = []
     scratch = workspace(grid).scratch
+    # the bound's largest step: 1 at ratio 0, else the root of tau^2 + (tp - 2) tau = tp
+    tp = state.tau_prev
+    cap = (1.0 - 1e-9) * (1.0 if tp == 0.0 else (2.0 - tp + math.sqrt(tp * tp + 4.0)) / 2.0)
+    tau = min(tau, cap)
     for _ in range(cfg.max_rejects + 1):
         u2, iters = bdf2_step(
             state, tau, grid, eps, source_at, newton_cfg, anchor_lap=anchor_lap
@@ -194,7 +199,7 @@ def advance(
             tau_next = min(tau_ada(e, tau, cfg), cfg.ratio_cap * tau)
             return AdvanceResult(u=u2, record=record, tau_next=tau_next, rejected=rejected)
         rejected.append(record)
-        tau_next = tau_ada(e, tau, cfg)
+        tau_next = min(tau_ada(e, tau, cfg), cap)
         if tau_next == tau:
             break
         tau = tau_next

@@ -6,9 +6,14 @@ Subcommands:
 * ``mms``: accuracy sweep over a list of step counts and seeds.
 * ``check-kernels``: dump kernel tables and inverse-identity residuals.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 enforced-constraint abort.  Flags override config keys; ``--seed``
-overrides the time-mesh seed and the initial-state seed together.
+Each exit code has one exception base, and :func:`main` alone maps them:
+0 success; 2 bad input (:class:`~acbdf2.config.ConfigError`) or output
+that cannot be written (``OSError``); 3 solver failure
+(:class:`~acbdf2.stepper.SolverFailure`); 4 enforced-constraint abort
+(:class:`~acbdf2.runner.ConstraintAbort`).  Subcommands raise and never
+print an error; any other exception is a bug and ends in its traceback.
+Flags override config keys; ``--seed`` overrides the time-mesh seed and
+the initial-state seed together.
 """
 
 from __future__ import annotations
@@ -29,8 +34,7 @@ from .kernels import (
     step_kernels,
 )
 from .runner import ConstraintAbort, mms_sweep, run_simulation
-from .stepper import NewtonDiverged, SolvabilityViolated
-from .adaptive import TooManyRejects, ZeroReference
+from .stepper import SolverFailure
 from .time_mesh import TimeMesh
 
 EXIT_OK = 0
@@ -46,9 +50,8 @@ def _fmt(x: float) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
     overrides = list(args.set or [])
     if args.seed is not None:
         overrides += [f"time.seed = {args.seed}", f"init.seed = {args.seed}"]
@@ -56,24 +59,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides += [f"output.dir = {args.out}"]
     if overrides:
         text = text + "\n" + "\n".join(overrides) + "\n"
-    try:
-        cfg = parse_config(text)
-    except ConfigError as exc:
-        for msg in exc.errors:
-            print(msg, file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        result = run_simulation(cfg)
-    except ConstraintAbort as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_CONSTRAINT
-    except (NewtonDiverged, SolvabilityViolated, TooManyRejects, ZeroReference) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (ValueError, OSError) as exc:
-        print(f"configuration problem: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    s = result.summary
+    s = run_simulation(parse_config(text)).summary
     print(
         f"completed {s['total_steps']} steps ({s['rejected_steps']} rejected) "
         f"to t = {s['final_time']:g}; final energy {s['final_energy']:.6g}, "
@@ -86,68 +72,51 @@ def _cmd_mms(args: argparse.Namespace) -> int:
     try:
         n_list = [int(part) for part in args.n_list.split(",")]
         seeds = [int(part) for part in args.seeds.split(",")]
-    except ValueError:
-        print("--n-list and --seeds must be comma-separated integers", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as exc:
+        raise ConfigError("--n-list and --seeds must be comma-separated integers") from exc
     if not n_list or not seeds or min(n_list) < 1:
-        print("need at least one positive step count and one seed", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("need at least one positive step count and one seed")
     if min(seeds) < 0:
-        print("--seeds cannot be negative", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--seeds cannot be negative")
     if args.m < 2:
-        print("--m must be at least 2", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--m must be at least 2")
     out_dir = Path(args.out)
     header = "N,tau_max,err_inf,order,num_ratio_violations"
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for seed in seeds:
-            rows = mms_sweep(n_list, seed, M=args.m)
-            lines = [header]
-            for row in rows:
-                lines.append(
-                    f"{row.N},{_fmt(row.tau_max)},{_fmt(row.err_inf)},"
-                    f"{_fmt(row.order)},{row.num_ratio_violations}"
-                )
-            path = out_dir / f"convergence_seed{seed}.csv"
-            path.write_text("\n".join(lines) + "\n", encoding="ascii")
-            print(f"wrote {path}")
-    except (NewtonDiverged, SolvabilityViolated) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for seed in seeds:
+        rows = mms_sweep(n_list, seed, M=args.m)
+        lines = [header]
+        for row in rows:
+            lines.append(
+                f"{row.N},{_fmt(row.tau_max)},{_fmt(row.err_inf)},"
+                f"{_fmt(row.order)},{row.num_ratio_violations}"
+            )
+        path = out_dir / f"convergence_seed{seed}.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_check_kernels(args: argparse.Namespace) -> int:
     if args.n < 1:
-        print("--n must be at least 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--n must be at least 1")
     if args.seed < 0:
-        print("--seed cannot be negative", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--seed cannot be negative")
     if args.uniform is not None:
         if not 0.0 < args.uniform < math.inf:
-            print("--uniform step must be positive and finite", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError("--uniform step must be positive and finite")
         horizon = args.uniform * args.n
         if not horizon < math.inf:
-            print("--uniform step times --n must be finite", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError("--uniform step times --n must be finite")
         mesh = TimeMesh.uniform(horizon, args.n)
     else:
         if not 0.0 < args.total_time < math.inf:
-            print("--total-time must be positive and finite", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError("--total-time must be positive and finite")
         mesh = random_mesh(args.n, args.total_time, args.seed)
     if args.eta is not None:
         eta = args.eta
         if not 0.0 < eta < 1.0:
-            print("--eta must lie in (0, 1)", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError("--eta must lie in (0, 1)")
     else:
         eta = run_eta(float(mesh.ratios.max()))
     d_rows = recombined_rows(mesh, eta)
@@ -169,11 +138,7 @@ def _cmd_check_kernels(args: argparse.Namespace) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        try:
-            Path(args.out).write_text(text, encoding="ascii")
-        except OSError as exc:
-            print(f"cannot write output: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        Path(args.out).write_text(text, encoding="ascii")
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -219,7 +184,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        for msg in exc.errors:
+            print(msg, file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except SolverFailure as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except ConstraintAbort as exc:
+        print(f"aborted: {exc}", file=sys.stderr)
+        return EXIT_CONSTRAINT
 
 
 if __name__ == "__main__":

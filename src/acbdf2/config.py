@@ -21,9 +21,9 @@ from .time_mesh import TimeMesh, solvability_bound
 
 
 class ConfigError(ValueError):
-    """Carries every validation message of one parse."""
+    """Bad input, exit code 2: carries every message found, one per line."""
 
-    def __init__(self, errors: list[str]):
+    def __init__(self, *errors: str):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
 
@@ -158,9 +158,14 @@ def parse_config(text: str) -> RunConfig:
         section, _, attr = key.partition(".")
         setattr(getattr(cfg, section), attr, parsed)
         cfg.explicit_keys.add(key)
-    errors.extend(_validate(cfg))
+    return validated(cfg, errors)
+
+
+def validated(cfg: RunConfig, errors=()) -> RunConfig:
+    """``cfg`` once it passes validation; else every problem, ``errors`` first."""
+    errors = [*errors, *_validate(cfg)]
     if errors:
-        raise ConfigError(errors)
+        raise ConfigError(*errors)
     return cfg
 
 

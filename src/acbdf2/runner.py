@@ -39,12 +39,14 @@ import numpy as np
 
 from .adaptive import TooManyRejects, advance
 from .config import (
+    ConfigError,
     ConstraintPolicy,
     DomainConfig,
     InitConfig,
     OutputConfig,
     RunConfig,
     TimeConfig,
+    validated,
 )
 from .experiments import (
     ConvergenceRow,
@@ -71,7 +73,7 @@ CSV_HEADER = ",".join(CSV_FIELDS)
 
 
 class ConstraintAbort(RuntimeError):
-    """Raised internally when an enforced safeguard fails."""
+    """An enforced safeguard failed: exit code 4."""
 
     def __init__(self, name: str, step: int):
         self.name = name
@@ -197,11 +199,12 @@ class _Run:
 
             return MmsProblem.exact(X, Y, 0.0, s), source_at, error_at
         # "file", the last kind validation admits
-        u, _ = read_snapshot(cfg.init.path)
-        if u.shape != (grid.M, grid.M):
-            raise ValueError(
-                f"initial field is {u.shape[0]}x{u.shape[1]}, grid wants {grid.M}"
-            )
+        try:
+            u, _ = read_snapshot(cfg.init.path)
+            if u.shape != (grid.M, grid.M):
+                raise ValueError(f"initial field is {u.shape[0]}x{u.shape[1]}, grid wants {grid.M}")
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"configuration problem: {exc}") from exc
         return u, None, None
 
     # -- step sources ----------------------------------------------------
@@ -385,13 +388,13 @@ def mms_sweep(
     """Accuracy table over a list of step counts, one mesh per count.
 
     Each count is one in-memory ``random-mesh`` run of the manufactured
-    solution with the monitors off; its row takes the run's ``err_inf``,
-    largest step, Newton sweeps and count of steps outside the
-    zero-stability window.  Every count draws its mesh from the same seed,
-    so a finer mesh extends the coarser one's draw sequence; the largest
-    steps then shrink in rough proportion to the count and the order column
-    stays meaningful.  The order column compares each row with the previous
-    one and is NaN on the first row.
+    solution with the monitors off, validated as a parsed config is; its
+    row takes the run's ``err_inf``, largest step, Newton sweeps and count
+    of steps outside the zero-stability window.  Every count draws its mesh
+    from the same seed, so a finer mesh extends the coarser one's draw
+    sequence; the largest steps then shrink in rough proportion to the count
+    and the order column stays meaningful.  The order column compares each
+    row with the previous one and is NaN on the first row.
     """
     rows: list[ConvergenceRow] = []
     for n_steps in n_list:
@@ -402,7 +405,7 @@ def mms_sweep(
             constraints=ConstraintPolicy(s0="off", s1="off", energy_law="off", max_principle="off"),
             output=OutputConfig(dir=""),
         )
-        res = run_simulation(cfg)
+        res = run_simulation(validated(cfg))
         tau_max = max(r.tau for r in res.records)
         order = math.nan
         if rows:

@@ -51,11 +51,15 @@ from .spatial import Grid2D, laplacian_apply, max_norm
 from .time_mesh import solvability_bound
 
 
-class NewtonDiverged(RuntimeError):
+class SolverFailure(RuntimeError):
+    """A march that validation admitted could not go on: exit code 3."""
+
+
+class NewtonDiverged(SolverFailure):
     """Newton or its inner linear solve failed to reach tolerance."""
 
 
-class SolvabilityViolated(ValueError):
+class SolvabilityViolated(SolverFailure):
     """Step size at or above the unique-solvability bound."""
 
 

@@ -20,7 +20,7 @@ from acbdf2.config import parse_config
 from acbdf2.runner import run_simulation
 from acbdf2.spatial import Grid2D, l2_norm, laplacian_apply, max_norm
 from acbdf2.stepper import NewtonConfig, StepperState, bdf2_step
-from acbdf2.time_mesh import RATIO_CEILING, S0_LIMIT
+from acbdf2.time_mesh import RATIO_CEILING, S0_LIMIT, solvability_bound
 
 from conftest import peak_fields
 
@@ -253,6 +253,34 @@ class TestAdvance:
         # one solve per trial
         assert len(calls) == 3
         assert calls[0] > calls[1] > calls[2] > cfg.tau_min
+
+    def test_first_trial_is_cut_below_the_bound_even_under_tau_min(self, monkeypatch):
+        # the ratio-0 bound is 1, below the whole window [1.5, 2]: the cut wins
+        calls = self.count_steps(monkeypatch)
+        cfg = AdaptiveConfig(tau_min=1.5, tau_max=2.0)
+        state = StepperState(u_prev=np.full((8, 8), 0.9), u_prev2=None, n=0, t=0.0)
+        res = advance(
+            state, 1.5, self.GRID, self.EPS, cfg, NEWTON,
+            anchor_lap=laplacian_apply(state.u_prev, self.GRID.h),
+        )
+        assert calls == [1.0 - 1e-9]
+        assert res.record.accepted and res.record.tau == calls[0]
+
+    def test_rejection_at_the_cut_is_not_repeated(self, monkeypatch):
+        # after a step of 0.5 the bound admits steps up to about 1.78; tau_min
+        # = 3 would clamp the retry back above it, so the cut trial is the last
+        calls = self.count_steps(monkeypatch)
+        monkeypatch.setattr(adaptive, "error_estimate", lambda *args: 1.0)
+        u = np.full((8, 8), 0.9)
+        state = StepperState(u_prev=u, u_prev2=u.copy(), n=1, t=0.5, tau_prev=0.5)
+        cfg = AdaptiveConfig(tol=1e-2, tau_min=3.0, tau_max=5.0)
+        with pytest.raises(TooManyRejects, match="rejected 1 times"):
+            advance(
+                state, 4.0, self.GRID, self.EPS, cfg, NEWTON,
+                anchor_lap=laplacian_apply(state.u_prev, self.GRID.h),
+            )
+        [tau] = calls
+        assert 1.0 - 2e-9 < tau / solvability_bound(tau / 0.5) < 1.0
 
     def test_rejection_records_carry_the_trial_sizes(self, rng):
         state = self.two_level_state(rng)

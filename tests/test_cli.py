@@ -1,12 +1,17 @@
 """Command-line interface: exit codes, overrides, and table dumps."""
 
+import importlib
 import json
 import math
+import pkgutil
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import acbdf2
+from acbdf2.adaptive import TooManyRejects, ZeroReference
 from acbdf2.cli import (
     EXIT_CONFIG,
     EXIT_CONSTRAINT,
@@ -14,6 +19,7 @@ from acbdf2.cli import (
     EXIT_SOLVER,
     main,
 )
+from acbdf2.config import ConfigError
 from acbdf2.experiments import random_mesh
 from acbdf2.kernels import (
     complementary_row,
@@ -21,9 +27,13 @@ from acbdf2.kernels import (
     recombined_kernels,
     run_eta,
 )
-from acbdf2.time_mesh import TimeMesh
+from acbdf2.runner import ConstraintAbort
+from acbdf2.stepper import SolverFailure
+from acbdf2.time_mesh import TimeMesh, solvability_bound
 
 from paper_forms import mesh_kernels
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 QUICK = """
 domain.L = 1.0
@@ -55,6 +65,12 @@ class TestRunCommand:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.conf")]) == EXIT_CONFIG
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "run.conf"
+        path.write_bytes(b"\xff\xfe domain.M = 8\n")
+        assert main(["run", str(path)]) == EXIT_CONFIG
         assert "cannot read config" in capsys.readouterr().err
 
     def test_invalid_config(self, tmp_path, capsys):
@@ -99,14 +115,33 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
 
     def test_solver_failure(self, tmp_path, capsys):
-        # the controller's first trial of size 1.2 is beyond the ratio-0
-        # solvability bound; validation checks fixed meshes only
-        text = QUICK.replace("time.tau = 0.1", "time.tau = 1.2").replace(
-            "time.T = 0.5", "time.T = 2.4"
-        ).replace("time.scheme = uniform", "time.scheme = adaptive")
-        cfg = write_config(tmp_path, text + "adaptive.tau_max = 1.2\n")
+        # one Newton sweep cannot reach newton.tol on the first step
+        cfg = write_config(tmp_path, QUICK + "newton.max_iter = 1\n")
         assert main(["run", cfg]) == EXIT_SOLVER
-        assert "solver failure" in capsys.readouterr().err
+        assert "solver failure: no convergence in 1 Newton sweeps" in capsys.readouterr().err
+
+    def test_adaptive_trials_stay_below_the_solvability_bound(self, tmp_path):
+        # tau_max = 5 asks for steps past the bound; each trial is cut just
+        # below it, and the run reaches T
+        out = tmp_path / "out"
+        sets = ["time.scheme = adaptive", "adaptive.tau_max = 5", "adaptive.tol = 0.5"]
+        args = ["run", str(CONFIGS / "coarsening_uniform.conf"), "--out", str(out)]
+        assert main(args + [f"--set={line}" for line in sets]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["final_time"] == pytest.approx(100.0, rel=1e-12)
+        rows = [r.split(",") for r in (out / "steps.csv").read_text().splitlines()[1:]]
+        shares = [float(r[2]) / solvability_bound(float(r[3])) for r in rows]
+        assert 1.0 - 2e-9 < max(shares) < 1.0
+
+    def test_a_fault_in_the_march_is_not_a_config_error(self, tmp_path, monkeypatch):
+        # only bad input exits 2; a ValueError from the march is a bug and
+        # ends in its traceback
+        def faulty(*args, **kwargs):
+            raise ValueError("fault in the march")
+
+        monkeypatch.setattr("acbdf2.runner.bdf2_step", faulty)
+        with pytest.raises(ValueError, match="fault in the march"):
+            main(["run", write_config(tmp_path, QUICK)])
 
     def test_fixed_mesh_past_the_solvability_bound_is_a_config_error(self, tmp_path, capsys):
         # a uniform step of 1.2 would stop the run at step 1: the config
@@ -193,13 +228,27 @@ class TestMmsCommand:
         assert "--seeds cannot be negative" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_solver_failure(self, tmp_path, capsys):
-        # one step of size T = 1 reaches the first step's solvability bound
+    def test_solver_failure(self, tmp_path, capsys, monkeypatch):
+        # every solver failure exits 3, the controller's two among them
+        args = ["mms", "--n-list", "2", "--seeds", "0", "--m", "8", "--out", str(tmp_path)]
+        for exc in (ZeroReference("reference solution vanishes"), TooManyRejects("rejected", [])):
+            def failing(*_, exc=exc, **__):
+                raise exc
+
+            monkeypatch.setattr("acbdf2.runner.bdf2_step", failing)
+            assert main(args) == EXIT_SOLVER
+            assert f"solver failure: {exc}" in capsys.readouterr().err
+
+    def test_single_step_past_the_bound_is_a_config_error(self, tmp_path, capsys):
+        # one step of size T = 1 reaches the first step's solvability bound:
+        # the sweep validates its configs as run validates a config file
         code = main(
             ["mms", "--n-list", "1", "--seeds", "0", "--m", "8", "--out", str(tmp_path)]
         )
-        assert code == EXIT_SOLVER
-        assert "solver failure" in capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "step 1 of the time mesh, tau = 1 at ratio 0, reaches the solvability bound 1\n"
+        )
 
     def test_unwritable_output(self, tmp_path, capsys):
         args = ["mms", "--n-list", "2", "--seeds", "0", "--m", "8"]
@@ -308,3 +357,21 @@ class TestCheckKernelsCommand:
             for row, want in zip(rows, expected):
                 n, j, *values = row.split(",")
                 assert [n, j] + [repr(float(x)) for x in values] == want, row
+
+
+def test_every_failure_class_has_one_exit_code():
+    # main maps three bases to exit codes 2, 3 and 4; each exception class
+    # of the package derives from exactly one of them
+    bases = (ConfigError, SolverFailure, ConstraintAbort)
+    found = set()
+    for info in pkgutil.iter_modules(acbdf2.__path__):
+        module = importlib.import_module(f"acbdf2.{info.name}")
+        for obj in vars(module).values():
+            if (
+                isinstance(obj, type)
+                and issubclass(obj, BaseException)
+                and obj.__module__ == module.__name__
+            ):
+                found.add(obj)
+                assert sum(issubclass(obj, base) for base in bases) == 1, obj
+    assert set(bases) <= found
