@@ -48,7 +48,7 @@ import numpy as np
 
 from .spatial import Grid2D, l2_norm
 from .stepper import NewtonConfig, SolverFailure, StepRecord, StepperState, bdf2_step, workspace
-from .time_mesh import RATIO_CEILING
+from .time_mesh import RATIO_CEILING, largest_solvable_step
 
 
 class TooManyRejects(SolverFailure):
@@ -179,9 +179,7 @@ def advance(
     """
     rejected: list[StepRecord] = []
     scratch = workspace(grid).scratch
-    # the bound's largest step: 1 at ratio 0, else the root of tau^2 + (tp - 2) tau = tp
-    tp = state.tau_prev
-    cap = (1.0 - 1e-9) * (1.0 if tp == 0.0 else (2.0 - tp + math.sqrt(tp * tp + 4.0)) / 2.0)
+    cap = (1.0 - 1e-9) * largest_solvable_step(state.tau_prev)
     tau = min(tau, cap)
     for _ in range(cfg.max_rejects + 1):
         u2, iters = bdf2_step(

@@ -5,6 +5,8 @@ document and reports every problem at once, each with its line number,
 rather than stopping at the first.  The schema is small on purpose: it maps
 one to one onto the solver knobs and diffs cleanly in experiment logs.  Each
 key is a field of a section dataclass, parsed by that field's annotation.
+Validation checks values only: a fixed time mesh is built and checked when
+the run starts, before any artifact is written, not at parse.
 """
 
 from __future__ import annotations
@@ -12,12 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
-import numpy as np
-
 from .adaptive import AdaptiveConfig
 from .experiments import MMS_EPS2, random_mesh
 from .stepper import NewtonConfig
-from .time_mesh import TimeMesh, solvability_bound
+from .time_mesh import TimeMesh
 
 
 class ConfigError(ValueError):
@@ -170,7 +170,7 @@ def validated(cfg: RunConfig, errors=()) -> RunConfig:
 
 
 def _time_problems(time: TimeConfig) -> list[str]:
-    """The time section's problems, its fixed mesh's steps included."""
+    """The time section's problems: its values, not the mesh they build."""
     errs = []
     if time.T <= 0.0:
         errs.append("time.T must be positive")
@@ -182,33 +182,6 @@ def _time_problems(time: TimeConfig) -> list[str]:
         errs.append("time.n must be at least 1")
     if time.seed < 0:
         errs.append("time.seed cannot be negative")
-    if errs:
-        return errs
-    if time.scheme == "random-mesh" and time.T <= 1.0 and time.n > 1:
-        # every step is at most T <= 1 and every bound at least 1; a later
-        # step's bound is above 1 but for a ratio so small that the step
-        # is tiny, and a first step of the whole horizon leaves the others
-        # no time.  So no step of this mesh reaches its bound, and the
-        # draw, which would add the import of numpy.random to every
-        # parse, is skipped
-        return []
-    try:
-        mesh = time.mesh()
-    except (ValueError, OverflowError) as exc:
-        return [f"time mesh: {exc}"]
-    if mesh is None:
-        return []
-    # the step check bdf2_step makes, ahead of the run: a step at or above
-    # the bound would stop the run at that step
-    ratios = mesh.ratios
-    bound = solvability_bound(ratios)
-    bad = np.flatnonzero(~(mesh.steps < bound))
-    if bad.size:
-        k = int(bad[0])
-        errs.append(
-            f"step {k + 1} of the time mesh, tau = {mesh.steps[k]:g} at ratio "
-            f"{ratios[k]:g}, reaches the solvability bound {bound[k]:g}"
-        )
     return errs
 
 

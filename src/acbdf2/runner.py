@@ -64,7 +64,7 @@ from .stepper import (
     energy,
     modified_energy,
 )
-from .time_mesh import TimeMesh, constraint_flags, energy_law_bound
+from .time_mesh import TimeMesh, constraint_flags, energy_law_bound, solvability_bound
 
 log = logging.getLogger(__name__)
 
@@ -145,7 +145,7 @@ class _Run:
         self.grid = Grid2D(M=cfg.domain.M, L=cfg.domain.L, origin=cfg.domain.origin)
         self.eps = cfg.domain.eps
         # None when adaptive: the controller picks the steps
-        self.mesh: TimeMesh | None = cfg.time.mesh()
+        self.mesh: TimeMesh | None = self._fixed_mesh()
         if self.mesh is not None:
             self.eta = run_eta(float(self.mesh.ratios.max()))
         else:
@@ -173,6 +173,21 @@ class _Run:
         self.solver_error: str | None = None
 
     # -- setup -----------------------------------------------------------
+
+    def _fixed_mesh(self) -> TimeMesh | None:
+        """The fixed mesh, refused before any artifact if a step reaches its bound."""
+        try:
+            mesh = self.cfg.time.mesh()
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"time mesh: {exc}") from exc
+        steps = () if mesh is None else zip(mesh.steps.tolist(), mesh.ratios.tolist())
+        for k, (tau, ratio) in enumerate(steps, start=1):
+            if not tau < solvability_bound(ratio):
+                raise ConfigError(
+                    f"step {k} of the time mesh, tau = {tau:g} at ratio "
+                    f"{ratio:g}, reaches the solvability bound {solvability_bound(ratio):g}"
+                )
+        return mesh
 
     def _initial_state(self):
         """Initial field, source term ``g(t)`` and error observer ``(u, t)``."""
@@ -203,6 +218,8 @@ class _Run:
             u, _ = read_snapshot(cfg.init.path)
             if u.shape != (grid.M, grid.M):
                 raise ValueError(f"initial field is {u.shape[0]}x{u.shape[1]}, grid wants {grid.M}")
+            if not np.isfinite(u).all():
+                raise ValueError("initial field holds non-finite values")
         except (OSError, ValueError) as exc:
             raise ConfigError(f"configuration problem: {exc}") from exc
         return u, None, None

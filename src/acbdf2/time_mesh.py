@@ -85,6 +85,15 @@ def solvability_bound(ratio: float) -> float:
     return (1.0 + 2.0 * ratio) / (1.0 + ratio)
 
 
+def largest_solvable_step(tau_prev: float) -> float:
+    """The step ``tau`` at which ``tau / tau_prev`` meets :func:`solvability_bound`.
+
+    1 at ratio 0, else the positive root of ``tau^2 + (tp - 2) tau = tp``.
+    """
+    tp = tau_prev
+    return 1.0 if tp == 0.0 else (2.0 - tp + math.sqrt(tp * tp + 4.0)) / 2.0
+
+
 def energy_law_bound(ratio: float, ratio_next: float) -> float:
     """Step bound under which the modified energy cannot increase.
 
@@ -93,9 +102,8 @@ def energy_law_bound(ratio: float, ratio_next: float) -> float:
     second branch can be non-positive for ratio pairs outside the
     energy-dissipation window; a non-positive value means no admissible step.
     """
-    first = (1.0 + 2.0 * ratio) / (1.0 + ratio)
     second = (2.0 + 4.0 * ratio - ratio * ratio) / (1.0 + ratio)
-    return min(first, second - ratio_next / (1.0 + ratio_next))
+    return min(solvability_bound(ratio), second - ratio_next / (1.0 + ratio_next))
 
 
 def max_principle_bound(

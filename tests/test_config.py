@@ -10,6 +10,7 @@ import pytest
 from acbdf2 import config
 from acbdf2.config import _SCHEMA, ConfigError, RunConfig, parse_config
 from acbdf2.experiments import MMS_EPS2, random_mesh
+from acbdf2.runner import run_simulation
 from acbdf2.time_mesh import solvability_bound
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -134,45 +135,54 @@ class TestErrors:
 
 
 class TestSolvability:
-    """A fixed mesh is checked step by step against ``tau < (1 + 2 r) / (1 + r)``."""
+    """Validation checks values only; the run checks the fixed mesh it builds.
 
-    def test_uniform_first_step_at_the_bound(self):
+    Each step must satisfy ``tau < (1 + 2 r) / (1 + r)``, and a mesh that
+    fails is refused before the run makes its output directory.
+    """
+
+    def test_uniform_first_step_at_the_bound(self, tmp_path):
         # the first step has ratio 0 and bound 1; the shipped coarsening
         # run at tau = 2 would stop there
+        out = tmp_path / "out"
         text = (CONFIGS_DIR / "coarsening_uniform.conf").read_text()
+        cfg = parse_config(text + f"time.tau = 2\noutput.dir = {out}\n")
         with pytest.raises(ConfigError) as excinfo:
-            parse_config(text + "time.tau = 2\n")
+            run_simulation(cfg)
         assert excinfo.value.errors == [
             "step 1 of the time mesh, tau = 2 at ratio 0, reaches the solvability bound 1"
         ]
+        assert not out.exists()
+        small = "domain.M = 8\noutput.dir =\ntime.T = {0}\ntime.tau = {0}\n"
         with pytest.raises(ConfigError, match="step 1 of the time mesh"):
-            parse_config("time.T = 1\ntime.tau = 1\n")
-        assert parse_config("time.T = 0.99\ntime.tau = 0.99\n").time.tau == 0.99
+            run_simulation(parse_config(small.format(1)))
+        assert run_simulation(parse_config(small.format(0.99))).summary["total_steps"] == 1
 
-    def test_single_step_random_mesh(self):
+    def test_single_step_random_mesh(self, tmp_path):
+        out = tmp_path / "out"
         text = (CONFIGS_DIR / "mms_single.conf").read_text()
+        cfg = parse_config(text + f"time.n = 1\noutput.dir = {out}\n")
         with pytest.raises(ConfigError, match="step 1 of the time mesh, tau = 1 at ratio 0"):
-            parse_config(text + "time.n = 1\n")
+            run_simulation(cfg)
+        assert not out.exists()
 
     def test_random_mesh_names_its_first_failing_step(self):
         # seed 12 draws steps 0.48, 1.81, 0.36, 0.34: the second step, at
         # ratio 3.78, lies past its bound 1.79
-        doc = "time.scheme = random-mesh\ntime.T = 3\ntime.n = 4\ntime.seed = 12\n"
+        doc = (
+            "domain.M = 8\noutput.dir =\n"
+            "time.scheme = random-mesh\ntime.T = 3\ntime.n = 4\ntime.seed = 12\n"
+        )
         with pytest.raises(ConfigError, match="step 2 of the time mesh, tau = 1.81"):
-            parse_config(doc)
-        assert parse_config(doc.replace("time.T = 3", "time.T = 1")).time.n == 4
+            run_simulation(parse_config(doc))
+        res = run_simulation(parse_config(doc.replace("time.T = 3", "time.T = 1")))
+        assert res.summary["total_steps"] == 4
 
     @pytest.mark.parametrize("n", [2, 3, 40])
-    def test_random_mesh_within_the_unit_horizon_is_never_drawn(self, monkeypatch, n):
-        # with more than one step on T <= 1 no step can reach its bound, so
-        # validation does not draw the mesh; the draws agree
-        def no_draw(*args):
-            raise AssertionError("validation drew the mesh")
-
-        monkeypatch.setattr(config, "random_mesh", no_draw)
-        for T in (1.0, 0.5):
-            parse_config(f"time.scheme = random-mesh\ntime.T = {T}\ntime.n = {n}\n")
-        monkeypatch.undo()
+    def test_random_mesh_within_the_unit_horizon_is_never_drawn(self, n):
+        # with more than one step on T <= 1 no step reaches its bound: every
+        # step is at most T <= 1 and every bound at least 1, and a first step
+        # of the whole horizon leaves the others no time
         for seed in range(200):
             mesh = random_mesh(n, 1.0, seed)
             assert np.all(mesh.steps < solvability_bound(mesh.ratios)), seed
@@ -182,9 +192,25 @@ class TestSolvability:
         cfg = parse_config("time.scheme = adaptive\ntime.tau = 2\nadaptive.tau_max = 2\n")
         assert cfg.time.mesh() is None
 
-    def test_a_mesh_that_cannot_be_built_is_a_config_error(self):
+    def test_a_mesh_that_cannot_be_built_is_a_config_error(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = parse_config(f"time.T = 1e300\ntime.tau = 1e-300\noutput.dir = {out}\n")
         with pytest.raises(ConfigError, match="time mesh"):
-            parse_config("time.T = 1e300\ntime.tau = 1e-300\n")
+            run_simulation(cfg)
+        assert not out.exists()
+
+    def test_a_uniform_run_builds_its_mesh_once(self, monkeypatch):
+        # parse checks values only; the run builds the mesh and checks it
+        built = []
+        mesh = config.TimeConfig.mesh
+
+        def counted(time):
+            built.append(time)
+            return mesh(time)
+
+        monkeypatch.setattr(config.TimeConfig, "mesh", counted)
+        run_simulation(parse_config("domain.M = 8\ntime.T = 0.2\ntime.tau = 0.1\noutput.dir =\n"))
+        assert len(built) == 1
 
 
 class TestMmsCoupling:

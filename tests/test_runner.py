@@ -9,7 +9,7 @@ import pytest
 
 from acbdf2 import runner, stepper
 from acbdf2.adaptive import TooManyRejects
-from acbdf2.config import parse_config
+from acbdf2.config import ConfigError, parse_config
 from acbdf2.experiments import coarsening_init, random_mesh
 from acbdf2.kernels import run_eta
 from acbdf2.runner import CSV_HEADER, ConstraintAbort, run_simulation
@@ -518,6 +518,18 @@ output.dir =
 """
         with pytest.raises(ValueError, match="8x8"):
             run_text(text)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_file_init_non_finite_is_bad_input(self, tmp_path, bad):
+        u0 = np.zeros((8, 8))
+        u0[3, 4] = bad
+        path = tmp_path / "bad.acf"
+        write_snapshot(str(path), u0, t=0.0)
+        out = tmp_path / "out"
+        text = f"domain.M = 8\ninit.kind = file\ninit.path = {path}\n"
+        with pytest.raises(ConfigError, match="configuration problem: .*non-finite"):
+            run_text(text, out)
+        assert not out.exists()
 
     MMS = """
 domain.M = 64

@@ -12,6 +12,7 @@ from acbdf2.time_mesh import (
     TimeMesh,
     constraint_flags,
     energy_law_bound,
+    largest_solvable_step,
     max_principle_bound,
     solvability_bound,
 )
@@ -135,6 +136,16 @@ class TestSolvabilityBound:
         assert np.all(np.diff(vals) > 0.0)
         assert np.all(vals >= 1.0)
         assert np.all(vals < 2.0)
+
+
+class TestLargestSolvableStep:
+    @pytest.mark.parametrize("tp", [1e-6, 0.1, 1.0, 10.0])
+    def test_meets_the_bound_after_its_previous_step(self, tp):
+        t = largest_solvable_step(tp)
+        assert solvability_bound(t / tp) == pytest.approx(t, rel=1e-12)
+
+    def test_first_step(self):
+        assert largest_solvable_step(0.0) == solvability_bound(0.0) == 1.0
 
 
 class TestEnergyLawBound:
