@@ -29,7 +29,7 @@ from .experiments import random_mesh
 from .kernels import (
     complementary_row,
     identity_residual,
-    recombined_rows,
+    recombined_kernels,
     run_eta,
     step_kernels,
 )
@@ -82,7 +82,6 @@ def _cmd_mms(args: argparse.Namespace) -> int:
         raise ConfigError("--m must be at least 2")
     out_dir = Path(args.out)
     header = "N,tau_max,err_inf,order,num_ratio_violations"
-    out_dir.mkdir(parents=True, exist_ok=True)
     for seed in seeds:
         rows = mms_sweep(n_list, seed, M=args.m)
         lines = [header]
@@ -92,6 +91,8 @@ def _cmd_mms(args: argparse.Namespace) -> int:
                 f"{_fmt(row.order)},{row.num_ratio_violations}"
             )
         path = out_dir / f"convergence_seed{seed}.csv"
+        # made only now, so a sweep that refuses its mesh leaves nothing
+        out_dir.mkdir(parents=True, exist_ok=True)
         path.write_text("\n".join(lines) + "\n", encoding="ascii")
         print(f"wrote {path}")
     return EXIT_OK
@@ -119,13 +120,15 @@ def _cmd_check_kernels(args: argparse.Namespace) -> int:
             raise ConfigError("--eta must lie in (0, 1)")
     else:
         eta = run_eta(float(mesh.ratios.max()))
-    d_rows = recombined_rows(mesh, eta)
+    d_rows = []
     lines = ["n,j,b0,b1,d_j,Q_j,identity_residual"]
     steps = zip(mesh.steps.tolist(), mesh.ratios.tolist())
     for n, (tau, ratio) in enumerate(steps, start=1):
-        d = d_rows[n - 1]
-        q = complementary_row(d_rows, n)
         k = step_kernels(tau, ratio)
+        d = recombined_kernels(k, eta, n)
+        # row n of Q needs the recombined rows 1..n alone
+        d_rows.append(d)
+        q = complementary_row(d_rows, n)
         for j in range(0, n + 1):
             q_j = _fmt(q[j]) if j < n else "nan"
             res = (

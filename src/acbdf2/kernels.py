@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .time_mesh import RATIO_CEILING, TimeMesh
+from .time_mesh import RATIO_CEILING
 
 
 @dataclass(frozen=True)
@@ -93,16 +93,6 @@ def recombined_kernels(k: Bdf2Kernels, eta: float, n: int) -> np.ndarray:
     tail = k.b0 * eta + k.b1
     d[1:] = tail * eta ** np.arange(n)
     return d
-
-
-def recombined_rows(mesh: TimeMesh, eta: float) -> list[np.ndarray]:
-    """Rows 1..N of the recombined kernel triangle (row n has n+1 entries)."""
-    return [
-        recombined_kernels(step_kernels(tau, ratio), eta, n)
-        for n, (tau, ratio) in enumerate(
-            zip(mesh.steps.tolist(), mesh.ratios.tolist()), start=1
-        )
-    ]
 
 
 def complementary_row(d_rows: Sequence[np.ndarray], n: int) -> np.ndarray:

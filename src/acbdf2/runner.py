@@ -271,12 +271,10 @@ class _Run:
         if self.pending is None:
             return
         rec, history = self.pending
-        if ratio_next == 0.0:
-            rec.modified_energy = rec.energy
-        else:
-            weight = ratio_next * rec.tau / (2.0 * (1.0 + ratio_next))
-            h = self.grid.h
-            rec.modified_energy = rec.energy + weight * h * h * history
+        # r' = 0 gives a weight of 0.0: the plain energy, bit for bit
+        weight = ratio_next * rec.tau / (2.0 * (1.0 + ratio_next))
+        h = self.grid.h
+        rec.modified_energy = rec.energy + weight * h * h * history
         energy_law = rec.tau <= energy_law_bound(rec.ratio, ratio_next)
         self.monitors.check({"energy_law": energy_law}, ("energy_law",), rec.n)
         self.pending = None

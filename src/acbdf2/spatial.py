@@ -63,12 +63,12 @@ class Grid2D:
 
     @cached_property
     def work(self) -> dict:
-        """Work buffers the solver layers keep for this grid, by owner.
+        """The solver's work buffers for this grid: one entry, by class.
 
-        Empty until a layer first stores its buffers here; they then live as
-        long as the grid, so a march reuses one set on every step (the
-        stepper's is :class:`acbdf2.stepper.Workspace`).  Their contents
-        belong to the call that is running: one solve at a time per grid.
+        Empty until the stepper stores its :class:`acbdf2.stepper.Workspace`
+        here, with the red-black view it builds on an even grid; it then lives
+        as long as the grid, so a march reuses one set on every step.  Its
+        contents belong to the call that is running: one solve at a time.
         """
         return {}
 

@@ -18,15 +18,17 @@ operator, as on the phase-field runs, and the FFT inverse of its
 constant-coefficient part when the diffusion number ``eps^2 / h^2``
 exceeds the largest reaction coefficient, as in the fine-grid accuracy
 runs.  On the Jacobi side an even grid eliminates its black points and
-runs CG on the red ones alone (:func:`_jacobi_pcg`).  Newton
-starts from the quadratic through the last three levels, evaluated at
-the new time: the order-2 predictor of variable-step BDF codes (Hairer,
-Norsett & Wanner, Solving ODEs I, III.5-III.7), whose error is third
-order in the step.  With two levels it starts from the
-linear extrapolation ``u^n + r (u^n - u^{n-1})``, ``r = tau / tau_prev``,
-and on the first level from ``u^n``.  Newton carries its unknown as the
-increment over ``u^n``, and the start is formed as that increment, never
-as a full field.
+runs CG on the red ones alone (:func:`_jacobi_pcg`).  One CG loop
+(:func:`_pcg`) serves all three forms: it runs on the field set its
+caller hands it, the grid's workspace or that workspace's red-black view,
+which offer it the same two operations.  Newton starts from the
+quadratic through the last three levels, evaluated at the new time: the
+order-2 predictor of variable-step BDF codes (Hairer, Norsett & Wanner,
+Solving ODEs I, III.5-III.7), whose error is third order in the step.
+With two levels it starts from the linear extrapolation ``u^n + r (u^n -
+u^{n-1})``, ``r = tau / tau_prev``, and on the first level from ``u^n``.
+Newton carries its unknown as the increment over ``u^n``, and the start is
+formed as that increment, never as a full field.
 
 Every call on a grid works in that grid's :class:`Workspace`, one set of
 fields built on first use and reused by every later step, sweep, linear
@@ -208,13 +210,16 @@ class Workspace:
       place.  ``const`` and ``history`` are dead once that solve has formed
       ``base``, before :func:`_pcg` first writes ``r``, ``z``, ``p`` and
       ``ap``.
-    * On an even grid :class:`RedBlack` carves the half-grid fields of the
-      reduced solve from ``diag``, ``lap``, ``scratch``, ``r``, ``z``, ``p``
-      and ``ap``, which that solve leaves otherwise unused; it reads
-      ``react`` and ``residual`` and writes ``delta``.
+    * ``red_black``: on an even grid, the :class:`RedBlack` view that
+      carves the half-grid fields of the reduced solve from ``diag``,
+      ``lap``, ``scratch``, ``r``, ``z``, ``p`` and ``ap``, which that solve
+      leaves otherwise unused; it reads ``react`` and ``residual`` and
+      writes ``delta``.  None on an odd grid, which cannot be two-coloured.
     """
 
-    def __init__(self, M: int):
+    def __init__(self, grid: Grid2D):
+        M = grid.M
+        self.h = grid.h
         (
             self.lap, self.scratch,
             self.w, self.base,
@@ -225,6 +230,15 @@ class Workspace:
         self.const = self.r
         self.start = self.w
         self.history = self.p
+        self.red_black = None if M % 2 else RedBlack(self, M)
+
+    def couple(self) -> None:
+        """``lap = Lap p``, through the module's ``laplacian_apply``."""
+        laplacian_apply(self.p, self.h, out=self.lap, scratch=self.scratch)
+
+    def jacobi(self, r: np.ndarray, out: np.ndarray) -> None:
+        """The Jacobi preconditioner ``out = r / diag``."""
+        np.divide(r, self.diag, out=out)
 
 
 def workspace(grid: Grid2D) -> Workspace:
@@ -234,7 +248,7 @@ def workspace(grid: Grid2D) -> Workspace:
     """
     ws = grid.work.get(Workspace)
     if ws is None:
-        ws = grid.work[Workspace] = Workspace(grid.M)
+        ws = grid.work[Workspace] = Workspace(grid)
     return ws
 
 
@@ -248,7 +262,9 @@ class RedBlack:
     a contiguous block, and every neighbour lies one flat shift away within
     a block (:func:`_neighbour_sum`).  Each field is one half of a
     :class:`Workspace` field that is dead while :func:`_jacobi_pcg` solves
-    the reduced system, so the reduction allocates nothing:
+    the reduced system, so the reduction allocates nothing; the workspace
+    builds the view with its fields.  :func:`_pcg` runs on it through
+    :meth:`couple` and :meth:`jacobi`, as it runs on a workspace:
 
     * ``d_r``, ``d_b`` (halves of ``diag``, together ``d``): the diagonal
       ``D = react + 4 c`` on each colour.
@@ -284,13 +300,9 @@ class RedBlack:
         self.t *= self.g
         _add_all(self.red_of_t)
 
-
-def red_black(grid: Grid2D) -> RedBlack:
-    """The even grid's :class:`RedBlack`, built on first use over its :class:`Workspace`."""
-    rb = grid.work.get(RedBlack)
-    if rb is None:
-        rb = grid.work[RedBlack] = RedBlack(workspace(grid), grid.M)
-    return rb
+    def jacobi(self, r: np.ndarray, out: np.ndarray) -> None:
+        """The reduced system's Jacobi preconditioner ``out = r / D_r``."""
+        np.divide(r, self.d_r, out=out)
 
 
 def _split(u: np.ndarray, red: np.ndarray, black: np.ndarray) -> None:
@@ -403,9 +415,9 @@ def spectral_preconditioner(grid: Grid2D, c: float, e2: float):
 
 
 def _pcg(
+    fields,
     react: np.ndarray,
     e2: float,
-    grid: Grid2D,
     b: np.ndarray,
     precond,
     rtol: float,
@@ -417,25 +429,22 @@ def _pcg(
 ) -> np.ndarray:
     """Preconditioned CG on ``react v - e2 C v = b``, zero guess.
 
-    On a grid field ``b``, ``C`` is the Laplacian and ``react`` the
-    pointwise reaction coefficient ``b0 - 1 + 3 u^2``; the operator is SPD
-    for ``b0 > 1``.  On a red half-grid field ``b`` (see :class:`RedBlack`),
-    ``C`` is the coupling :meth:`RedBlack.couple` that eliminating the
-    black points leaves, with the black weights :func:`_jacobi_pcg` sets,
-    and ``react`` the red diagonal.  ``precond(r,
-    out)`` writes the preconditioned residual into ``out``.  Stops at the
-    first iterate whose recurrence residual meets ``||residual||_2 <=
-    max(rtol b_norm, atol)``, where ``b_norm`` defaults to ``||b||_2``; the
-    absolute stop ``atol`` keeps Newton from solving a correction far below
-    what its next residual test can see.  The solution goes into ``out``,
-    which is written before it is read: the first iterate goes straight in.
-    The iteration runs in the work fields of the grid's :class:`Workspace`
-    or :class:`RedBlack`, ``r``, ``z``, ``p``, ``ap``, ``lap`` and
-    ``scratch``, and allocates nothing, per iteration or per call.
+    ``fields`` is a :class:`Workspace` or a :class:`RedBlack` view, and
+    its ``couple()`` applies ``C`` to ``p``.  On a workspace ``C`` is the
+    Laplacian and ``react`` the pointwise reaction coefficient ``b0 - 1 +
+    3 u^2``; the operator is SPD for ``b0 > 1``.  On a red-black view,
+    ``C`` is the coupling that eliminating the black points leaves, with
+    the black weights :func:`_jacobi_pcg` sets, and ``react`` the red
+    diagonal.  ``precond(r, out)`` writes the preconditioned residual into
+    ``out``.  Stops at the first iterate whose recurrence residual meets
+    ``||residual||_2 <= max(rtol b_norm, atol)``, where ``b_norm`` defaults
+    to ``||b||_2``; the absolute stop ``atol`` keeps Newton from solving a
+    correction far below what its next residual test can see.  The
+    solution goes into ``out``, which is written before it is read: the
+    first iterate goes straight in.  The iteration runs in the fields'
+    ``r``, ``z``, ``p``, ``ap``, ``lap`` and ``scratch``, and allocates
+    nothing, per iteration or per call.
     """
-    h = grid.h
-    full = b.shape == (grid.M, grid.M)
-    ws = workspace(grid) if full else red_black(grid)
     bf = b.ravel()
     # the residual of the zero guess
     r0 = math.sqrt(float(np.dot(bf, bf)))
@@ -444,7 +453,7 @@ def _pcg(
     if r0 <= target:
         x.fill(0.0)
         return x
-    r, z, p, ap, lap, scratch = ws.r, ws.z, ws.p, ws.ap, ws.lap, ws.scratch
+    r, z, p, ap, lap, scratch = fields.r, fields.z, fields.p, fields.ap, fields.lap, fields.scratch
     np.copyto(r, b)
     precond(r, z)
     np.copyto(p, z)
@@ -454,10 +463,7 @@ def _pcg(
     apf = ap.ravel()
     rz = float(np.dot(rf, zf))
     for k in range(max_iter):
-        if full:
-            laplacian_apply(p, h, out=lap, scratch=scratch)
-        else:
-            ws.couple()
+        fields.couple()
         np.multiply(react, p, out=ap)
         lap *= e2
         ap -= lap
@@ -478,15 +484,6 @@ def _pcg(
         p += z
         rz = rz_new
     raise NewtonDiverged("inner linear solve stalled")
-
-
-def _jacobi(diag: np.ndarray):
-    """Jacobi preconditioner ``out = r / diag``, as ``apply(r, out)``."""
-
-    def apply(r: np.ndarray, out: np.ndarray) -> None:
-        np.divide(r, diag, out=out)
-
-    return apply
 
 
 def _jacobi_pcg(
@@ -520,13 +517,11 @@ def _jacobi_pcg(
     Jacobi-preconditioned by ``D``.
     """
     c = e2 / (grid.h * grid.h)
-    if grid.M % 2:
-        diag = workspace(grid).diag
-        np.add(react, 4.0 * c, out=diag)
-        return _pcg(
-            react, e2, grid, b, _jacobi(diag), rtol, max_iter, out=out, atol=atol
-        )
-    rb = red_black(grid)
+    ws = workspace(grid)
+    rb = ws.red_black
+    if rb is None:
+        np.add(react, 4.0 * c, out=ws.diag)
+        return _pcg(ws, react, e2, b, ws.jacobi, rtol, max_iter, out=out, atol=atol)
     _split(react, rb.d_r, rb.d_b)
     rb.d += 4.0 * c
     np.divide(c, rb.d_b, out=rb.g)
@@ -538,7 +533,7 @@ def _jacobi_pcg(
     _add_all(rb.red_of_t)
     rb.b_s += rb.lap
     x_r = _pcg(
-        rb.d_r, c, grid, rb.b_s, _jacobi(rb.d_r), rtol, max_iter,
+        rb, rb.d_r, c, rb.b_s, rb.jacobi, rtol, max_iter,
         out=rb.x, atol=atol, b_norm=b_norm,
     )
     # back-substitution: x_b = (b_b + c B^T x_r) / D_b
@@ -685,7 +680,7 @@ def nonlinear_solve(
             if spectral is None:
                 spectral = spectral_preconditioner(grid, b0 - 1.0, e2)
             w -= _pcg(
-                react, e2, grid, residual, spectral, rtol_k, LIN_MAX_ITER,
+                ws, react, e2, residual, spectral, rtol_k, LIN_MAX_ITER,
                 out=ws.delta, atol=0.5 * cfg.tol,
             )
         else:

@@ -1,7 +1,8 @@
 """Reference forms of the paper's statements, for the tests alone.
 
-The solver never builds a mesh from its ratios, never needs the smallest
-admissible recombination weight and never sums a full history; these forms
+The solver never builds a mesh from its ratios, never forms a mesh's
+recombined kernel rows in one call, never needs the smallest admissible
+recombination weight and never sums a full history; these forms
 exist so the tests can check the solver's own kernels (``step_kernels``,
 ``recombined_kernels``, ``run_eta``, ``complementary_row``) against the
 paper's identities.  :func:`modified_energy_value` writes out the paper's
@@ -11,7 +12,7 @@ returns, as the march assembles it one acceptance later.
 
 import numpy as np
 
-from acbdf2.kernels import step_kernels
+from acbdf2.kernels import recombined_kernels, step_kernels
 from acbdf2.time_mesh import TimeMesh
 
 
@@ -26,6 +27,13 @@ def mesh_kernels(mesh):
     return [
         step_kernels(tau, ratio)
         for tau, ratio in zip(mesh.steps.tolist(), mesh.ratios.tolist())
+    ]
+
+
+def recombined_rows(mesh, eta):
+    """Rows 1..N of the recombined kernel triangle (row n has n+1 entries)."""
+    return [
+        recombined_kernels(k, eta, n) for n, k in enumerate(mesh_kernels(mesh), start=1)
     ]
 
 

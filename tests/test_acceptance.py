@@ -20,7 +20,6 @@ from acbdf2.kernels import (
     complementary_row,
     identity_residual,
     recombined_kernels,
-    recombined_rows,
     run_eta,
     step_kernels,
 )
@@ -29,7 +28,7 @@ from acbdf2.spatial import laplacian_apply, max_norm
 from acbdf2.time_mesh import S0_LIMIT, TimeMesh
 
 from conftest import dense_laplacian
-from paper_forms import apply_recombined, mesh_from_ratios, mesh_kernels
+from paper_forms import apply_recombined, mesh_from_ratios, mesh_kernels, recombined_rows
 
 EPS_MACH = float(np.finfo(float).eps)
 
@@ -103,6 +102,11 @@ def bubbles_adaptive():
 @pytest.fixture(scope="module")
 def bubbles_adaptive_loose():
     return adaptive_bubbles(1e-3)
+
+
+@pytest.fixture(scope="module")
+def bubbles_adaptive_tight():
+    return adaptive_bubbles(1e-5)
 
 
 @pytest.fixture(scope="module")
@@ -286,22 +290,25 @@ def test_criterion_7_adaptive_efficiency(bubbles_uniform, bubbles_adaptive):
 
 
 def test_criterion_7_error_falls_with_the_tolerance(
-    bubbles_uniform, bubbles_adaptive, bubbles_adaptive_loose
+    bubbles_uniform, bubbles_adaptive, bubbles_adaptive_loose, bubbles_adaptive_tight
 ):
     # the final field's distance to the uniform reference at T = 30 fell
-    # from 2.57e-4 at tol = 1e-3 to 7.60e-5 at tol = 1e-4, 3.39 times, about
-    # tol^0.5.  An estimate ten times too small runs each march a decade
-    # looser: both then measured 2.57e-4, a drop of 1.00
+    # from 2.57e-4 at tol = 1e-3 to 7.60e-5 at tol = 1e-4 and 2.45e-5 at
+    # tol = 1e-5, 3.39 and 3.11 times, about tol^0.5.  An estimate ten times
+    # too small runs each march a decade looser: the first drop then
+    # measured 1.00, and the tight march lands near 7.6e-5
     uni = bubbles_uniform[0].u_final
     err_loose = max_norm(bubbles_adaptive_loose[0].u_final - uni)
     err = max_norm(bubbles_adaptive[0].u_final - uni)
-    drop = err_loose / err
-    ok = err_loose <= 4e-4 and drop >= 2.5
+    err_tight = max_norm(bubbles_adaptive_tight[0].u_final - uni)
+    drops = (err_loose / err, err / err_tight)
+    ok = err_loose <= 4e-4 and err_tight <= 4e-5 and min(drops) >= 2.5
     report(
         7,
         "the adaptive error falls with the tolerance",
         ok,
-        f"field diff {err_loose:.2e} at tol 1e-3, {err:.2e} at tol 1e-4, drop {drop:.2f}x",
+        f"field diff {err_loose:.2e} at tol 1e-3, {err:.2e} at tol 1e-4, "
+        f"{err_tight:.2e} at tol 1e-5, drops {drops[0]:.2f}x and {drops[1]:.2f}x",
     )
 
 

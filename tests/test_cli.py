@@ -242,13 +242,14 @@ class TestMmsCommand:
     def test_single_step_past_the_bound_is_a_config_error(self, tmp_path, capsys):
         # one step of size T = 1 reaches the first step's solvability bound:
         # the sweep validates its configs as run validates a config file
-        code = main(
-            ["mms", "--n-list", "1", "--seeds", "0", "--m", "8", "--out", str(tmp_path)]
-        )
+        out = tmp_path / "out"
+        code = main(["mms", "--n-list", "1", "--seeds", "0", "--m", "8", "--out", str(out)])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == (
             "step 1 of the time mesh, tau = 1 at ratio 0, reaches the solvability bound 1\n"
         )
+        # as in run, a refused mesh leaves no output directory
+        assert not out.exists()
 
     def test_unwritable_output(self, tmp_path, capsys):
         args = ["mms", "--n-list", "2", "--seeds", "0", "--m", "8"]

@@ -9,13 +9,18 @@ from acbdf2.kernels import (
     complementary_row,
     identity_residual,
     recombined_kernels,
-    recombined_rows,
     run_eta,
     step_kernels,
 )
 from acbdf2.time_mesh import RATIO_CEILING, S0_LIMIT, TimeMesh
 
-from paper_forms import apply_recombined, eta_floor, mesh_from_ratios, mesh_kernels
+from paper_forms import (
+    apply_recombined,
+    eta_floor,
+    mesh_from_ratios,
+    mesh_kernels,
+    recombined_rows,
+)
 
 
 def apply_bdf2(values, k):

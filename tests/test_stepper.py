@@ -50,7 +50,7 @@ class TestJacobian:
             np.divide(r, diag, out=out)
 
         return _pcg(
-            react, eps * eps, grid, b, jacobi, 1e-14, 500,
+            stepper.workspace(grid), react, eps * eps, b, jacobi, 1e-14, 500,
             out=np.empty_like(b), atol=0.0,
         )
 
@@ -108,7 +108,8 @@ class TestSpectralPreconditioner:
         # c = b0 - 1, the low end of the reaction range, as in nonlinear_solve
         precond = spectral_preconditioner(grid, 19.0, e2)
         got = _pcg(
-            react, e2, grid, b, precond, 1e-14, 100, out=np.empty_like(b), atol=0.0
+            stepper.workspace(grid), react, e2, b, precond, 1e-14, 100,
+            out=np.empty_like(b), atol=0.0,
         )
         np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-12)
 
@@ -283,13 +284,15 @@ class TestNewtonStops:
         e2, atol = self.E2, 1e-6
         n, x = self.iterations(
             lambda k: _pcg(
-                react, e2, grid, b, jacobi, 1e-14, k, out=np.empty_like(b), atol=atol
+                stepper.workspace(grid), react, e2, b, jacobi, 1e-14, k,
+                out=np.empty_like(b), atol=atol,
             )
         )
         # the relative stop alone needs more iterations
         with pytest.raises(NewtonDiverged):
             _pcg(
-                react, e2, grid, b, jacobi, 1e-14, n, out=np.empty_like(b), atol=0.0
+                stepper.workspace(grid), react, e2, b, jacobi, 1e-14, n,
+                out=np.empty_like(b), atol=0.0,
             )
         true_res = b - (react * x - e2 * laplacian_apply(x, grid.h))
         assert max_norm(true_res) <= 1.001 * atol
@@ -299,7 +302,8 @@ class TestNewtonStops:
         grid, react, jacobi, b = self.system(rng)
         b *= 1e-9 / np.sqrt(np.sum(b * b))
         x = _pcg(
-            react, self.E2, grid, b, jacobi, 1e-14, 1, out=np.empty_like(b), atol=1e-9
+            stepper.workspace(grid), react, self.E2, b, jacobi, 1e-14, 1,
+            out=np.empty_like(b), atol=1e-9,
         )
         np.testing.assert_array_equal(x, 0.0)
 
@@ -452,9 +456,9 @@ class TestRedBlack:
         shapes = []
         pcg = stepper._pcg
 
-        def recorded(react, e2, grid, b, *args, **kwargs):
+        def recorded(fields, react, e2, b, *args, **kwargs):
             shapes.append(b.shape)
-            return pcg(react, e2, grid, b, *args, **kwargs)
+            return pcg(fields, react, e2, b, *args, **kwargs)
 
         monkeypatch.setattr(stepper, "_pcg", recorded)
         grid = Grid2D(M=M, L=1.0)
@@ -713,11 +717,17 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("M", [128, 256])
     def test_fields_start_on_a_cache_line(self, M):
-        # numpy's vector loops run slower over fields off a cache line
+        # numpy's vector loops run slower over fields off a cache line; the
+        # reduced solve's CG runs over the red-black view's halves of them
         ws = stepper.workspace(Grid2D(M=M, L=1.0))
-        for name, field in vars(ws).items():
+        whole = {n: f for n, f in vars(ws).items() if isinstance(f, np.ndarray)}
+        halves = {n: f for n, f in vars(ws.red_black).items() if isinstance(f, np.ndarray)}
+        assert {"d_r", "d_b", "r", "z", "p", "ap", "lap", "scratch", "x"} <= set(halves)
+        for name, field in [*whole.items(), *halves.items()]:
             assert field.ctypes.data % stepper.ALIGN == 0, name
             assert field.flags.c_contiguous, name
+        for name, field in halves.items():
+            assert any(np.shares_memory(field, f) for f in whole.values()), name
 
     def test_consecutive_roots_are_distinct(self):
         state = self.two_step_state()
